@@ -76,13 +76,14 @@ def nand_apply(gate: NandGate, memory: MemoryBlade) -> MemoryBlade:
     the blade by e_r, multiplying the carried sign by the reordering parity of
     moving e_r into canonical position.
     """
-    if bit_read(memory, gate.r):
+    mask = memory.mask
+    if mask >> gate.r & 1:
         raise TargetOccupiedError(
             f"place {gate.r} already occupied (gate {gate.p},{gate.q}->{gate.r})"
         )
-    if bit_read(memory, gate.p) & bit_read(memory, gate.q):
+    if mask >> gate.p & mask >> gate.q & 1:
         return memory
-    mask, sign = blade_mul(1 << gate.r, memory.mask)
+    mask, sign = blade_mul(1 << gate.r, mask)
     return MemoryBlade(mask, memory.sign * sign)
 
 
@@ -99,6 +100,7 @@ class Netlist:
     input_groups: list[list[int]]
     output_groups: list[list[int]]
     _checked: bool = field(default=False, repr=False, compare=False)
+    _targets: int = field(default=0, repr=False, compare=False)
 
     @property
     def inputs(self) -> list[int]:
@@ -112,10 +114,12 @@ class Netlist:
         if self._checked:
             return
         inputs = self.inputs
-        known = set(inputs)
-        if len(known) != len(inputs):
+        input_set = set(inputs)
+        if len(input_set) != len(inputs):
             raise NetlistValidationError("duplicate input place declaration")
+        known = set(input_set)
         written: set[int] = set()
+        targets = 0
         for idx, g in enumerate(self.gates):
             for operand in (g.p, g.q):
                 if operand not in known:
@@ -127,12 +131,14 @@ class Netlist:
                 raise NetlistValidationError(
                     f"gate #{idx} ({g.p},{g.q}->{g.r}) writes place {g.r} twice"
                 )
-            if g.r in set(inputs):
+            if g.r in input_set:
                 raise NetlistValidationError(
                     f"gate #{idx} ({g.p},{g.q}->{g.r}) writes input place {g.r}"
                 )
             written.add(g.r)
             known.add(g.r)
+            targets |= 1 << g.r
+        self._targets = targets
         self._checked = True
 
     def ancilla_places(self) -> set[int]:
@@ -149,11 +155,12 @@ class Netlist:
 def run_netlist(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
     """Apply every gate in order; the final bit pattern is the circuit value."""
     netlist.validate()
-    for g in netlist.gates:
-        if bit_read(memory, g.r):
-            raise TargetOccupiedError(
-                f"target place {g.r} is not empty in the initial memory"
-            )
+    if memory.mask & netlist._targets:
+        for g in netlist.gates:
+            if bit_read(memory, g.r):
+                raise TargetOccupiedError(
+                    f"target place {g.r} is not empty in the initial memory"
+                )
     for g in netlist.gates:
         memory = nand_apply(g, memory)
     return memory

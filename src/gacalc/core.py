@@ -27,18 +27,25 @@ class ResourceCapError(RuntimeError):
 def reorder_sign(a: int, b: int) -> int:
     """Sign picked up when merging blade masks ``a`` and ``b`` into canonical order.
 
-    Counts, for each set bit of ``b``, the set bits of ``a`` strictly above it;
-    each such pair is one transposition of anticommuting basis vectors.
-    Returns +1 or -1.  Shared bits contract via e_i*e_i = +1 and contribute
-    no sign in the Euclidean signature.
+    Writing e_A e_B in ascending order moves each factor of ``b`` left past
+    every factor of ``a`` with a larger index: one transposition of
+    anticommuting basis vectors per pair (i in a, j in b, i > j).  Shared
+    factors contract via e_i*e_i = +1 and add no sign in the Euclidean
+    signature.  Only the parity of that pair count matters, so it is taken
+    with a suffix-parity scan instead of a count per set bit of ``b``:
+    ``q = a >> 1`` then ``q ^= q >> s`` for s = 1, 2, 4, ... leaves bit j of
+    ``q`` equal to the parity of the bits of ``a`` above j (a parallel-prefix
+    XOR, so O(log width) big-int steps).  The parity of ``q & b`` is then the
+    sum over j in b of those parities, mod 2: the transposition count mod 2.
+    Returns +1 or -1.
     """
-    swaps = 0
-    t = b
-    while t:
-        low = t & -t
-        swaps += (a >> low.bit_length()).bit_count()
-        t ^= low
-    return -1 if swaps & 1 else 1
+    q = a >> 1
+    width = q.bit_length()
+    s = 1
+    while s < width:
+        q ^= q >> s
+        s <<= 1
+    return -1 if (q & b).bit_count() & 1 else 1
 
 
 def blade_mul(a: int, b: int) -> tuple[int, int]:
@@ -261,11 +268,21 @@ def to_records(mv: Multivector) -> list[dict[str, str]]:
 
 
 def from_records(records: Iterable[Mapping[str, str]], dimension: int) -> Multivector:
-    """Inverse of :func:`to_records` for the given algebra dimension."""
+    """Inverse of :func:`to_records` for the given algebra dimension.
+
+    A record with a missing field or a zero denominator raises
+    ``ValueError`` naming the record.
+    """
     terms: dict[int, Fraction] = {}
     for rec in records:
-        mask = int(rec["mask"], 16)
+        try:
+            mask = int(rec["mask"], 16)
+            coeff = Fraction(int(rec["num"]), int(rec["den"]))
+        except KeyError as exc:
+            raise ValueError(f"record {rec!r} lacks field {exc}") from None
+        except ZeroDivisionError:
+            raise ValueError(f"record {rec!r} has a zero denominator") from None
         if mask in terms:
             raise ValueError(f"duplicate mask {rec['mask']} in records")
-        terms[mask] = Fraction(int(rec["num"]), int(rec["den"]))
+        terms[mask] = coeff
     return Multivector(dimension, terms)

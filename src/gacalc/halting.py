@@ -368,11 +368,6 @@ def build_free_superposition(params: TruncationParams) -> Multivector:
     return Multivector(params.dimension, terms)
 
 
-def _extend_term(mask: int, extension: int) -> tuple[int, int]:
-    """Left-multiply a term blade by a (disjoint) slot blade, tracking the sign."""
-    return blade_mul(extension, mask)
-
-
 def apply_step_operator(state: Multivector, i: int, params: TruncationParams) -> Multivector:
     """Fill step i's output slots from its input slots on every term."""
     if not 0 <= i < params.steps:
@@ -391,7 +386,7 @@ def apply_step_operator(state: Multivector, i: int, params: TruncationParams) ->
         s = decode(mask, params.slot(4 * i + 2), layout)
         x_out, s_out = params.step_codes(m_code, x, s)
         extension = encode(x_out, out_x_name, layout) | encode(s_out, out_s_name, layout)
-        new_mask, sign = _extend_term(mask, extension)
+        new_mask, sign = blade_mul(extension, mask)
         c = coeff if sign > 0 else -coeff
         prev = terms.get(new_mask)
         terms[new_mask] = c if prev is None else prev + c
@@ -508,7 +503,7 @@ def build_chained_superposition(
             x, s = params.step_codes(m_code, x, s)
         coeff = 1
         for extension in extensions:
-            mask, sign = _extend_term(mask, extension)
+            mask, sign = blade_mul(extension, mask)
             coeff *= sign
         prev = terms.get(mask)
         terms[mask] = coeff if prev is None else prev + coeff

@@ -63,11 +63,10 @@ def _check_blade_core() -> list[PropertyResult]:
                     ok = False
     out.append(PropertyResult("blade-core", "anticommutation", ok))
 
-    ok = all(
-        core.reorder_sign(a, b) == _bubble_parity_sign(a, b)
-        for a in range(32)
-        for b in range(32)
-    )
+    rng = random.Random(10)
+    pairs = [(a, b) for a in range(32) for b in range(32)]
+    pairs += [(rng.getrandbits(w), rng.getrandbits(w)) for w in (65, 199) for _ in range(4)]
+    ok = all(core.reorder_sign(a, b) == _bubble_parity_sign(a, b) for a, b in pairs)
     out.append(PropertyResult("blade-core", "reorder-sign-parity", ok))
 
     rng = random.Random(11)

@@ -189,8 +189,14 @@ class TestRunNetlist:
 
     def test_occupied_ancilla_rejected(self):
         nl = single_gate()
-        with pytest.raises(TargetOccupiedError):
+        with pytest.raises(TargetOccupiedError, match="place 2 is not empty"):
             run_netlist(nl, MemoryBlade(0b100))
+
+    def test_occupied_late_target_named_before_any_gate_runs(self):
+        nl = build_nand_multiplier(2)
+        last = nl.gates[-1].r
+        with pytest.raises(TargetOccupiedError, match=f"place {last} is not empty"):
+            run_netlist(nl, MemoryBlade(1 << last))
 
 
 class TestNetlistValidation:

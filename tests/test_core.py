@@ -102,6 +102,31 @@ class TestReorderSign:
             b = rng.randrange(1 << 12)
             assert reorder_sign(a, b) == bubble_sign(a, b)
 
+    @pytest.mark.parametrize(
+        "width", [1, 2, 63, 64, 65, 127, 128, 129, 199, 225, 256, 257, 528]
+    )
+    def test_wide_masks_every_prefix_stage(self, width):
+        # Widths straddle the powers of two where the scan gains a stage;
+        # the shapes are a generic product, a NAND gate write (one bit into
+        # a dense memory) and a chain extension (sparse slots onto a chain).
+        rng = random.Random(width)
+        for _ in range(6):
+            dense_a, dense_b = rng.getrandbits(width), rng.getrandbits(width)
+            single = 1 << rng.randrange(width)
+            sparse = 0
+            for _ in range(4):
+                sparse |= 1 << rng.randrange(width)
+            for a, b in ((dense_a, dense_b), (single, dense_b), (dense_a, sparse)):
+                assert reorder_sign(a, b) == bubble_sign(a, b)
+                assert reorder_sign(b, a) == bubble_sign(b, a)
+
+    @given(st.integers(0, (1 << 600) - 1), st.integers(0, (1 << 600) - 1))
+    def test_commutation_law(self, a, b):
+        # e_A e_B = (-1)^(|A||B| - |A & B|) e_B e_A in a Euclidean algebra.
+        pa, pb = a.bit_count(), b.bit_count()
+        expect = (-1) ** (pa * pb - (a & b).bit_count())
+        assert reorder_sign(a, b) * reorder_sign(b, a) == expect
+
 
 class TestBladeMul:
     def test_contraction(self):
@@ -213,6 +238,18 @@ def test_serialization_roundtrip(a):
     assert records == sorted(records, key=lambda r: int(r["mask"], 16))
     assert all(r["mask"] == r["mask"].lower() for r in records)
     assert from_records(records, a.dimension) == a
+
+
+def test_from_records_zero_denominator_names_record():
+    with pytest.raises(ValueError, match="zero denominator") as exc:
+        from_records([{"mask": "3", "num": "1", "den": "0"}], 4)
+    assert "'mask': '3'" in str(exc.value)
+
+
+def test_from_records_missing_field_names_record():
+    with pytest.raises(ValueError, match="lacks field 'den'") as exc:
+        from_records([{"mask": "3", "num": "1"}], 4)
+    assert "'mask': '3'" in str(exc.value)
 
 
 def test_grade_helper():
