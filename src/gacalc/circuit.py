@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, Callable, Iterable, Mapping
 
-from .core import Multivector, blade_mul
+from .core import Multivector, _accumulate, blade_mul
 
 
 class TargetOccupiedError(RuntimeError):
@@ -114,6 +114,10 @@ class Netlist:
         if self._checked:
             return
         inputs = self.inputs
+        for kind, places in (("INPUT", inputs), ("OUTPUT", self.outputs)):
+            for place in places:
+                if place < 0:
+                    raise NetlistValidationError(f"{kind} place {place} is negative")
         input_set = set(inputs)
         if len(input_set) != len(inputs):
             raise NetlistValidationError("duplicate input place declaration")
@@ -268,18 +272,10 @@ def linear_extend(op: Callable[[int], Multivector]) -> Callable[[Multivector], M
     """
 
     def extended(state: Multivector) -> Multivector:
-        acc: dict[int, Fraction] = {}
-        dim = state.dimension
-        for mask, coeff in state.terms.items():
-            image = op(mask)
-            dim = image.dimension
-            for m, c in image.terms.items():
-                s = acc.get(m, 0) + coeff * c
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        return Multivector(dim, acc)
+        images = [(op(mask), coeff) for mask, coeff in state.terms.items()]
+        dim = images[-1][0].dimension if images else state.dimension
+        terms = ((m, coeff * c) for image, coeff in images for m, c in image.terms.items())
+        return Multivector(dim, _accumulate(terms))
 
     return extended
 

@@ -11,6 +11,7 @@ safe to share across threads.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -55,6 +56,20 @@ def blade_mul(a: int, b: int) -> tuple[int, int]:
     is the reordering parity from :func:`reorder_sign`.
     """
     return a ^ b, reorder_sign(a, b)
+
+
+def _accumulate(pairs: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
+    """Sum ``(mask, coefficient)`` pairs per mask, dropping exact zeros."""
+    acc: dict[int, Fraction] = {}
+    for mask, c in pairs:
+        prev = acc.get(mask)
+        if prev is None:
+            acc[mask] = c  # stored as is: ``0 + c`` would take Fraction.__radd__
+        elif s := prev + c:
+            acc[mask] = s
+        else:
+            del acc[mask]
+    return acc
 
 
 def grade(mask: int) -> int:
@@ -153,31 +168,23 @@ class Multivector:
                 f"incompatible algebras: dimension {self._dim} vs {other._dim}"
             )
 
-    def __add__(self, other: "Multivector") -> "Multivector":
+    def _merge(self, other: "Multivector", op) -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_dim(other)
         acc = dict(self._terms)
         for mask, c in other._terms.items():
-            s = acc.get(mask, 0) + c
-            if s:
+            if s := op(acc.get(mask, 0), c):
                 acc[mask] = s
             else:
-                acc.pop(mask, None)
+                del acc[mask]
         return Multivector._raw(self._dim, acc)
 
+    def __add__(self, other: "Multivector") -> "Multivector":
+        return self._merge(other, operator.add)
+
     def __sub__(self, other: "Multivector") -> "Multivector":
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        self._check_dim(other)
-        acc = dict(self._terms)
-        for mask, c in other._terms.items():
-            s = acc.get(mask, 0) - c
-            if s:
-                acc[mask] = s
-            else:
-                acc.pop(mask, None)
-        return Multivector._raw(self._dim, acc)
+        return self._merge(other, operator.sub)
 
     def __neg__(self) -> "Multivector":
         return Multivector._raw(self._dim, {m: -c for m, c in self._terms.items()})
@@ -192,16 +199,34 @@ class Multivector:
     def geometric_product(self, other: "Multivector") -> "Multivector":
         """Bilinear extension of the blade product with anticommutation signs."""
         self._check_dim(other)
-        acc: dict[int, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mask, sign = blade_mul(ma, mb)
-                s = acc.get(mask, 0) + (ca * cb if sign > 0 else -(ca * cb))
-                if s:
-                    acc[mask] = s
-                else:
-                    acc.pop(mask, None)
-        return Multivector._raw(self._dim, acc)
+        products = (
+            (mask, ca * cb if sign > 0 else -(ca * cb))
+            for ma, ca in self._terms.items()
+            for mb, cb in other._terms.items()
+            for mask, sign in (blade_mul(ma, mb),)
+        )
+        return Multivector._raw(self._dim, _accumulate(products))
+
+    def map_blades(
+        self, f: Callable[[int], tuple[int, int]], dimension: int | None = None
+    ) -> "Multivector":
+        """Linear lift of a signed blade map ``f(mask) -> (mask', +1 or -1)``.
+
+        Each term c*e_mask becomes +-c*e_mask'; images that land on one blade
+        are summed and exact zeros dropped.  The result lives in ``dimension``
+        (default: this multivector's); an image outside it raises ``ValueError``.
+        """
+        dim = self._dim if dimension is None else dimension
+
+        def images():
+            for mask, c in self._terms.items():
+                out, sign = f(mask)
+                yield out, (c if sign > 0 else -c)
+
+        acc = _accumulate(images())
+        if dim < 0 or acc and (min(acc) < 0 or max(acc) >> dim):
+            raise ValueError(f"blade images do not fit dimension {dim}")
+        return Multivector._raw(dim, acc)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):

@@ -29,6 +29,18 @@ class Subspace:
         """Full mask of the subspace (all its dimensions set)."""
         return ((1 << self.width) - 1) << self.offset
 
+    def encode(self, x: int) -> int:
+        """Code integer ``x`` as a blade mask inside this subspace."""
+        if x < 0 or x >> self.width:
+            raise EncodingRangeError(
+                f"value {x} does not fit {self.width}-bit subspace {self.name!r}"
+            )
+        return x << self.offset
+
+    def decode(self, mask: int) -> int:
+        """Read the integer coded here; bits outside the subspace are ignored."""
+        return (mask >> self.offset) & ((1 << self.width) - 1)
+
 
 class SubspaceLayout:
     """Partition of global dimensions into named, fixed-width subspaces.
@@ -72,18 +84,12 @@ class SubspaceLayout:
 
 def encode(x: int, subspace: str, layout: SubspaceLayout) -> int:
     """Code integer ``x`` as a blade mask inside the named subspace."""
-    sub = layout[subspace]
-    if x < 0 or x >> sub.width:
-        raise EncodingRangeError(
-            f"value {x} does not fit {sub.width}-bit subspace {subspace!r}"
-        )
-    return x << sub.offset
+    return layout[subspace].encode(x)
 
 
 def decode(mask: int, subspace: str, layout: SubspaceLayout) -> int:
     """Read the integer coded in the named subspace; bits outside it are ignored."""
-    sub = layout[subspace]
-    return (mask >> sub.offset) & ((1 << sub.width) - 1)
+    return layout[subspace].decode(mask)
 
 
 def encode_wide(x: int, sub_lo: str, sub_hi: str, layout: SubspaceLayout) -> int:
@@ -94,12 +100,10 @@ def encode_wide(x: int, sub_lo: str, sub_hi: str, layout: SubspaceLayout) -> int
             f"value {x} does not fit {lo.width + hi.width} bits across"
             f" {sub_lo!r}+{sub_hi!r}"
         )
-    return encode(x & ((1 << lo.width) - 1), sub_lo, layout) | encode(
-        x >> lo.width, sub_hi, layout
-    )
+    return lo.encode(x & ((1 << lo.width) - 1)) | hi.encode(x >> lo.width)
 
 
 def decode_wide(mask: int, sub_lo: str, sub_hi: str, layout: SubspaceLayout) -> int:
     """Inverse of :func:`encode_wide`."""
     lo = layout[sub_lo]
-    return decode(mask, sub_lo, layout) | decode(mask, sub_hi, layout) << lo.width
+    return lo.decode(mask) | layout[sub_hi].decode(mask) << lo.width

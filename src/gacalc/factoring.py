@@ -21,12 +21,11 @@ from .circuit import (
     MemoryBlade,
     Netlist,
     build_nand_multiplier,
-    linear_extend,
     relabel_and_discard,
     run_netlist,
 )
 from .core import Multivector, ResourceCapError
-from .encoding import SubspaceLayout, decode, decode_wide, encode, encode_wide
+from .encoding import SubspaceLayout, decode_wide, encode_wide
 
 FAITHFUL_MAX_N = 10
 FAST_MAX_N = 12
@@ -77,23 +76,23 @@ def build_factoring_superposition(
         )
     xs = range(1 << n) if xs is None else list(xs)
     ys = range(1 << n) if ys is None else list(ys)
+    x_sub, y1_sub, y2_sub = (fl.layout[name] for name in "012")
     terms = {}
     for y in ys:
-        y_part = encode(y, "1", fl.layout) | encode(y, "2", fl.layout)
+        y_part = y1_sub.encode(y) | y2_sub.encode(y)
         for x in xs:
-            terms[encode(x, "0", fl.layout) | y_part] = 1
+            terms[x_sub.encode(x) | y_part] = 1
     return Multivector(fl.dimension, terms)
 
 
 def _fast_multiply_op(fl: FactoringLayout):
     layout = fl.layout
-    keep = layout["2"].mask
-    dim = fl.dimension
+    x_sub, y_sub = layout["0"], layout["2"]
+    keep = y_sub.mask
 
-    def op(mask: int) -> Multivector:
-        x = decode(mask, "0", layout)
-        y = decode(mask, "2", layout)
-        return Multivector.blade(dim, encode_wide(x * y, "0", "1", layout) | (mask & keep))
+    def op(mask: int) -> tuple[int, int]:
+        product = x_sub.decode(mask) * y_sub.decode(mask)
+        return encode_wide(product, "0", "1", layout) | (mask & keep), 1
 
     return op
 
@@ -102,26 +101,25 @@ def _faithful_multiply(fl: FactoringLayout, state: Multivector) -> Multivector:
     netlist = fl.multiplier_netlist()
     dim = netlist.place_count()
 
-    def op(mask: int) -> Multivector:
+    def op(mask: int) -> tuple[int, int]:
         # The reorder sign accumulated by the gate writes is semantically
         # inert for bit contents; the route drops it so that legitimate term
         # merges in the relabel step stay all-positive.
-        final = run_netlist(netlist, MemoryBlade(mask))
-        return Multivector.blade(dim, final.mask)
+        return run_netlist(netlist, MemoryBlade(mask)).mask, 1
 
     product_places = netlist.output_groups[0]
     place_map = {src: k for k, src in enumerate(product_places)}
     for place in range(2 * fl.n, 3 * fl.n):  # subspace "2" stays put
         place_map[place] = place
     discard = set(range(dim)) - set(place_map)
-    wide = linear_extend(op)(state)
+    wide = state.map_blades(op, dim)
     return relabel_and_discard(wide, place_map, discard, dimension=fl.dimension)
 
 
 def multiply_all(fl: FactoringLayout, state: Multivector, route: str = "fast") -> Multivector:
     """One lifted multiplication pass: every term becomes wide-product form."""
     if route == "fast":
-        return linear_extend(_fast_multiply_op(fl))(state)
+        return state.map_blades(_fast_multiply_op(fl))
     if route == "faithful":
         return _faithful_multiply(fl, state)
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
@@ -137,8 +135,8 @@ def project_product(fl: FactoringLayout, state: Multivector, z: int) -> Multivec
 
 def read_divisors(fl: FactoringLayout, state: Multivector) -> set[int]:
     """Decode subspace "2" of every term, deduplicated."""
-    layout = fl.layout
-    return {decode(mask, "2", layout) for mask in state.masks()}
+    y_sub = fl.layout["2"]
+    return {y_sub.decode(mask) for mask in state.masks()}
 
 
 def factor_pipeline(

@@ -29,8 +29,8 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .core import Multivector, ResourceCapError, blade_mul
-from .encoding import SubspaceLayout, decode, encode
+from .core import Multivector, ResourceCapError, _accumulate, blade_mul
+from .encoding import SubspaceLayout
 
 MOVES = ("L", "R")
 
@@ -117,7 +117,7 @@ class TMSpec:
         all_states = range(self.num_states)
         if self.start not in all_states:
             raise MachineFormatError(f"start state {self.start} out of range")
-        if not self.halt_states <= set(all_states):
+        if any(h not in all_states for h in self.halt_states):
             raise MachineFormatError("halt state out of range")
         if self.reject not in self.halt_states:
             raise MachineFormatError("reject must be one of the halt states")
@@ -241,7 +241,8 @@ class TruncationParams:
     """Finite bounds and enumerated sets for the probe, plus the slot layout.
 
     Slot subspaces are named by their index: "0" for the machine code, then
-    per step i the quadruple str(4i+1)..str(4i+4).
+    per step i the quadruple str(4i+1)..str(4i+4).  ``slots[k]`` is the
+    subspace of slot k, so per-term code reads slots by index, not by name.
     """
 
     def __init__(
@@ -298,14 +299,12 @@ class TruncationParams:
                 (str(4 * i + 4), w_s),
             ]
         self.layout = SubspaceLayout(widths)
+        self.slots = tuple(self.layout.subspaces)
         self._step_cache: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     @property
     def dimension(self) -> int:
         return self.layout.total_dim
-
-    def slot(self, index: int) -> str:
-        return str(index)
 
     def step_codes(self, machine_code: int, x: int, s: int) -> tuple[int, int]:
         """One step at the level of integer codes, with the REJECT conventions."""
@@ -346,20 +345,20 @@ def build_free_superposition(params: TruncationParams) -> Multivector:
         raise ResourceCapError(
             f"free superposition needs {count} terms, cap is {params.term_cap}"
         )
-    layout = params.layout
+    slots = params.slots
     terms = {}
     slot_pairs = []
     for i in range(params.steps):
+        x_in, s_in = slots[4 * i + 1], slots[4 * i + 2]
         slot_pairs.append(
             [
-                encode(x, params.slot(4 * i + 1), layout)
-                | encode(s, params.slot(4 * i + 2), layout)
+                x_in.encode(x) | s_in.encode(s)
                 for x in params.config_codes
                 for s in params.state_codes
             ]
         )
     for spec in params.machines:
-        base = encode(spec.code, "0", layout)
+        base = slots[0].encode(spec.code)
         for combo in product(*slot_pairs):
             mask = base
             for part in combo:
@@ -372,25 +371,20 @@ def apply_step_operator(state: Multivector, i: int, params: TruncationParams) ->
     """Fill step i's output slots from its input slots on every term."""
     if not 0 <= i < params.steps:
         raise ValueError(f"step index {i} outside [0, {params.steps})")
-    layout = params.layout
-    out_x_name, out_s_name = params.slot(4 * i + 3), params.slot(4 * i + 4)
-    out_region = layout[out_x_name].mask | layout[out_s_name].mask
-    terms: dict[int, object] = {}
-    for mask, coeff in state.terms.items():
+    machine = params.slots[0]
+    x_in, s_in, x_out, s_out = params.slots[4 * i + 1 : 4 * i + 5]
+    out_region = x_out.mask | s_out.mask
+    step_codes = params.step_codes
+
+    def step(mask: int) -> tuple[int, int]:
         if mask & out_region:
             raise TargetSlotOccupiedError(
                 f"output slots of step {i} are not empty in every term"
             )
-        m_code = decode(mask, "0", layout)
-        x = decode(mask, params.slot(4 * i + 1), layout)
-        s = decode(mask, params.slot(4 * i + 2), layout)
-        x_out, s_out = params.step_codes(m_code, x, s)
-        extension = encode(x_out, out_x_name, layout) | encode(s_out, out_s_name, layout)
-        new_mask, sign = blade_mul(extension, mask)
-        c = coeff if sign > 0 else -coeff
-        prev = terms.get(new_mask)
-        terms[new_mask] = c if prev is None else prev + c
-    return Multivector(params.dimension, terms)
+        x, s = step_codes(machine.decode(mask), x_in.decode(mask), s_in.decode(mask))
+        return blade_mul(x_out.encode(x) | s_out.encode(s), mask)
+
+    return state.map_blades(step, params.dimension)
 
 
 def apply_all_steps(state: Multivector, params: TruncationParams) -> Multivector:
@@ -401,19 +395,16 @@ def apply_all_steps(state: Multivector, params: TruncationParams) -> Multivector
 
 def consistency_project(state: Multivector, params: TruncationParams) -> Multivector:
     """Keep terms where each step's outputs equal the next step's inputs."""
-    layout = params.layout
+    slots = params.slots
+    # Slot k (step output) must equal slot k + 2 (the next step's input).
+    links = [
+        (slots[k], slots[k + 2])
+        for i in range(params.steps - 1)
+        for k in (4 * i + 3, 4 * i + 4)
+    ]
 
     def chained(mask: int) -> bool:
-        for i in range(params.steps - 1):
-            if decode(mask, params.slot(4 * i + 3), layout) != decode(
-                mask, params.slot(4 * (i + 1) + 1), layout
-            ):
-                return False
-            if decode(mask, params.slot(4 * i + 4), layout) != decode(
-                mask, params.slot(4 * (i + 1) + 2), layout
-            ):
-                return False
-        return True
+        return all(out.decode(mask) == nxt.decode(mask) for out, nxt in links)
 
     return state.project(chained)
 
@@ -426,30 +417,24 @@ def instance_project(
         raise ValueError("machine is not part of the enumerated machine set")
     if input_code not in params._config_set:
         raise ValueError(f"input config code {input_code} outside the enumerated set")
-    layout = params.layout
+    machine, x0, s0 = params.slots[:3]
     want = (spec.code, input_code, spec.start)
 
     def selected(mask: int) -> bool:
-        return (
-            decode(mask, "0", layout),
-            decode(mask, "1", layout),
-            decode(mask, "2", layout),
-        ) == want
+        return (machine.decode(mask), x0.decode(mask), s0.decode(mask)) == want
 
     return state.project(selected)
 
 
 def halt_project(state: Multivector, params: TruncationParams) -> Multivector:
     """Keep terms where some state slot after step 0 holds a halt state."""
-    layout = params.layout
-    slots = [params.slot(4 * i + 4) for i in range(params.steps)]
-    slots += [params.slot(4 * i + 2) for i in range(1, params.steps)]
+    machine = params.slots[0]
+    state_slots = [params.slots[4 * i + 4] for i in range(params.steps)]
+    state_slots += [params.slots[4 * i + 2] for i in range(1, params.steps)]
 
     def halted(mask: int) -> bool:
-        m_code = decode(mask, "0", layout)
-        return any(
-            params.is_halt_code(m_code, decode(mask, name, layout)) for name in slots
-        )
+        m_code = machine.decode(mask)
+        return any(params.is_halt_code(m_code, sub.decode(mask)) for sub in state_slots)
 
     return state.project(halted)
 
@@ -477,37 +462,28 @@ def build_chained_superposition(
         raise ResourceCapError(
             f"chained superposition needs {len(starts)} chains, cap is {params.term_cap}"
         )
-    layout = params.layout
-    terms: dict[int, object] = {}
-    for m_code, x0, s0 in starts:
-        x, s = x0, s0
-        extensions = []
-        alive = True
-        for i in range(params.steps):
-            x, s = params.step_codes(m_code, x, s)
-            extensions.append(
-                encode(x, params.slot(4 * i + 3), layout)
-                | encode(s, params.slot(4 * i + 4), layout)
-            )
-            last = i == params.steps - 1
-            if not last and (x not in params._config_set or s not in params._state_set):
-                alive = False
-                break
-        if not alive:
-            continue
-        mask = encode(m_code, "0", layout)
-        x, s = x0, s0
-        for i in range(params.steps):
-            mask |= encode(x, params.slot(4 * i + 1), layout)
-            mask |= encode(s, params.slot(4 * i + 2), layout)
-            x, s = params.step_codes(m_code, x, s)
-        coeff = 1
-        for extension in extensions:
-            mask, sign = blade_mul(extension, mask)
-            coeff *= sign
-        prev = terms.get(mask)
-        terms[mask] = coeff if prev is None else prev + coeff
-    return Multivector(params.dimension, terms)
+    slots = params.slots
+    last = params.steps - 1
+
+    def chains():
+        for m_code, x, s in starts:
+            mask = 0
+            extensions = []
+            for i in range(params.steps):
+                mask |= slots[4 * i + 1].encode(x) | slots[4 * i + 2].encode(s)
+                x, s = params.step_codes(m_code, x, s)
+                extensions.append(slots[4 * i + 3].encode(x) | slots[4 * i + 4].encode(s))
+                if i < last and (x not in params._config_set or s not in params._state_set):
+                    break
+            else:
+                mask |= slots[0].encode(m_code)
+                coeff = 1
+                for extension in extensions:
+                    mask, sign = blade_mul(extension, mask)
+                    coeff *= sign
+                yield mask, coeff
+
+    return Multivector(params.dimension, _accumulate(chains()))
 
 
 def bounded_halt_probe(
@@ -589,16 +565,16 @@ def machine_from_dict(data: Mapping) -> TMSpec:
             )
             for t in data["transitions"]
         }
-        return TMSpec(
+        fields = dict(
             num_states=int(data["states"]),
             start=int(data["start"]),
             halt_states=[int(h) for h in data["halt_states"]],
-            transitions=transitions,
             reject=int(data["reject"]) if "reject" in data else None,
             name=str(data.get("name", "")),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MachineFormatError(f"bad machine description: {exc}") from None
+    return TMSpec(transitions=transitions, **fields)
 
 
 def machine_to_dict(spec: TMSpec) -> dict:

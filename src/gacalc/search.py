@@ -76,16 +76,16 @@ def apply_oracle(oracle: MembershipOracle, state: Multivector, sl: SearchLayout)
     oracle.op_count += 1
     memo: dict[int, int] = {}
     flag = 1 << sl.oracle_dim
-    terms: dict[int, Fraction] = {}
-    for mask, coeff in state.terms.items():
-        x = decode(mask, "data", sl.layout)
+    data = sl.layout["data"]
+
+    def toggle(mask: int) -> tuple[int, int]:
+        x = data.decode(mask)
         fx = memo.get(x)
         if fx is None:
             fx = memo[x] = oracle.evaluate(x)
-        out = mask ^ flag if fx else mask
-        prev = terms.get(out)
-        terms[out] = coeff if prev is None else prev + coeff
-    return Multivector(sl.dimension, terms)
+        return (mask ^ flag if fx else mask), 1
+
+    return state.map_blades(toggle)
 
 
 def half_difference_filter(oracle: MembershipOracle, state: Multivector, sl: SearchLayout) -> Multivector:

@@ -215,6 +215,15 @@ class TestNetlistValidation:
         with pytest.raises(NetlistValidationError, match="reads place 5"):
             nl.validate()
 
+    def test_negative_input_place(self):
+        # No gate reads place -3, so only the declaration can catch it.
+        with pytest.raises(NetlistValidationError, match="INPUT place -3 is negative"):
+            parse_netlist("INPUT 0 -3\nINPUT 1\nOUTPUT 2\nNAND 0 1 2\n")
+
+    def test_negative_output_place(self):
+        with pytest.raises(NetlistValidationError, match="OUTPUT place -3 is negative"):
+            parse_netlist("INPUT 0\nINPUT 1\nOUTPUT 2 -3\nNAND 0 1 2\n")
+
 
 class TestMultiplier:
     def test_one_bit_is_and(self):

@@ -172,6 +172,19 @@ class TestCircuit:
         assert "twice" in err
 
 
+    @pytest.mark.parametrize(
+        "text",
+        ["INPUT 0 -3\nINPUT 1\nOUTPUT 2\n", "INPUT 0\nINPUT 1\nOUTPUT -3\n"],
+        ids=["input", "output"],
+    )
+    def test_negative_place(self, capsys, tmp_path, text):
+        path = tmp_path / "neg.nand"
+        path.write_text(text + "NAND 0 1 2\n")
+        code, _, err = run(capsys, "circuit", "--netlist", str(path), "--inputs", "1,1")
+        assert code == 1
+        assert "place -3 is negative" in err
+
+
 class TestSelftest:
     def test_default_passes(self, capsys):
         code, report, _ = run_json(capsys, "selftest")

@@ -15,6 +15,7 @@ from gacalc.core import (
     reorder_sign,
     to_records,
 )
+from gacalc.circuit import linear_extend
 
 
 def bubble_sign(a: int, b: int) -> int:
@@ -194,6 +195,66 @@ class TestLinearOps:
             b = random_mv(rng, 6, 4)
             for result in (a + b, a - b, a * b, a.scale(Fraction(3, 7)), a - a):
                 assert all(c != 0 for c in result.terms.values())
+
+
+def lifted(f, dim: int):
+    """Oracle for ``map_blades``: the multivector-valued lift of the same map."""
+    return linear_extend(lambda m: Multivector.blade(dim, *f(m)))
+
+
+def drop_low_bit(m: int) -> tuple[int, int]:
+    # m and m ^ 1 land on one blade with opposite signs.
+    return m & ~1, -1 if m & 1 else 1
+
+
+class TestMapBlades:
+    MAPS = {
+        "colliding": (lambda m: (m & 0b111, 1), 0),
+        "cancelling": (drop_low_bit, 0),
+        "sign-and-widen": (lambda m: (m << 2 | 1, -1 if m.bit_count() & 1 else 1), 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_matches_linear_extend(self, name):
+        f, extra = self.MAPS[name]
+        rng = random.Random(21)
+        for _ in range(50):
+            a = random_mv(rng, 6, rng.randint(0, 12))
+            dim = a.dimension + extra
+            got = a.map_blades(f, dim if extra else None)
+            # linear_extend takes its dimension from the images, so compare
+            # terms: an empty state has no image to take it from.
+            assert got.dimension == dim
+            assert got.terms == lifted(f, dim)(a).terms
+            assert all(c != 0 for c in got.terms.values())
+
+    def test_exact_cancellation_drops_the_blade(self):
+        a = Multivector(4, {0b10: 3, 0b11: 3, 0b100: Fraction(1, 2)})
+        assert a.map_blades(drop_low_bit) == Multivector.blade(4, 0b100, Fraction(1, 2))
+        assert a.map_blades(drop_low_bit) == lifted(drop_low_bit, 4)(a)
+
+    def test_image_outside_dimension(self):
+        a = Multivector(4, {0b1: 1})
+        with pytest.raises(ValueError, match="fit dimension 4"):
+            a.map_blades(lambda m: (m | 1 << 4, 1))
+        with pytest.raises(ValueError, match="fit dimension 2"):
+            a.map_blades(lambda m: (m << 3, 1), 2)
+        assert a.map_blades(lambda m: (m << 3, 1), 5) == Multivector.blade(5, 0b1000)
+
+
+@settings(max_examples=100)
+@given(
+    mv_strategy,
+    mv_strategy,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.sampled_from(sorted(TestMapBlades.MAPS)),
+)
+def test_map_blades_is_linear(a, b, k, name):
+    f, extra = TestMapBlades.MAPS[name]
+    dim = a.dimension + extra
+    lift = lambda x: x.map_blades(f, dim)
+    assert lift(a + b) == lift(a) + lift(b)
+    assert lift(a.scale(k)) == lift(a).scale(k)
 
 
 class TestProjection:

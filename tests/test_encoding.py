@@ -54,6 +54,22 @@ def test_roundtrip_exhaustive():
             assert decode(encode(x, "s", layout), "s", layout) == x
 
 
+def test_subspace_methods_roundtrip_and_match_module_functions(layout):
+    for name in ("a", "b", "c"):
+        sub = layout[name]
+        for x in range(1 << sub.width):
+            assert sub.decode(sub.encode(x)) == x
+            assert sub.encode(x) == encode(x, name, layout)
+            assert sub.decode(sub.encode(x) | 1 << 11) == decode(sub.encode(x), name, layout)
+
+
+def test_subspace_range_error_text(layout):
+    with pytest.raises(EncodingRangeError, match=r"^value 8 does not fit 3-bit subspace 'a'$"):
+        layout["a"].encode(8)
+    with pytest.raises(EncodingRangeError, match=r"^value -1 does not fit 5-bit subspace 'c'$"):
+        encode(-1, "c", layout)
+
+
 def test_grade_law(layout):
     for x in range(32):
         assert encode(x, "c", layout).bit_count() == x.bit_count()

@@ -1,5 +1,6 @@
 """Bounded halting probe: codecs, step operator, projections, oracle agreement."""
 import json
+import tracemalloc
 
 import pytest
 
@@ -62,6 +63,45 @@ class TestMachineCoding:
         with pytest.raises(MachineFormatError):
             TMSpec(2, 5, [1], {(0, 0): Transition(0, "R", 0), (0, 1): Transition(0, "R", 0)})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("states", "two"), ("start", "x"), ("halt_states", ["h"]), ("reject", "r")],
+    )
+    def test_non_numeric_machine_field(self, field, value):
+        data = {**machine_to_dict(CORPUS["bb2"]), field: value}
+        with pytest.raises(MachineFormatError, match="bad machine description"):
+            machine_from_dict(data)
+
+    @pytest.mark.parametrize("field", ["state", "read", "write", "next"])
+    def test_non_numeric_transition_field(self, field):
+        data = machine_to_dict(CORPUS["bb2"])
+        data["transitions"][0][field] = "x"
+        with pytest.raises(MachineFormatError, match="bad machine description"):
+            machine_from_dict(data)
+
+    def test_spec_errors_keep_their_message(self):
+        data = {**machine_to_dict(CORPUS["bb2"]), "start": 7}
+        with pytest.raises(MachineFormatError, match="^start state 7 out of range$"):
+            machine_from_dict(data)
+
+    def test_huge_state_count_rejected_in_bounded_memory(self):
+        data = {
+            "states": 10**6,
+            "start": 0,
+            "halt_states": [1],
+            "transitions": [
+                {"state": 0, "read": r, "write": 1, "move": "R", "next": 1} for r in (0, 1)
+            ],
+        }
+        tracemalloc.start()
+        try:
+            with pytest.raises(MachineFormatError, match="missing transition for state 2"):
+                machine_from_dict(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_default_reject(self):
         spec = CORPUS["seeker"]
         assert spec.reject == 2  # explicit in the file
@@ -120,6 +160,13 @@ class TestStep:
 
     def test_immediate_halt_at_step_zero(self):
         assert run_direct(CORPUS["halt-now"], blank(2), 5) == (True, 0)
+
+
+def test_slots_are_the_layout_subspaces_in_index_order():
+    params = TruncationParams([CORPUS["bb2"]], 3, 3)
+    assert len(params.slots) == 4 * 3 + 1
+    for k, sub in enumerate(params.slots):
+        assert sub is params.layout[str(k)]
 
 
 class TestFreeConstruction:
