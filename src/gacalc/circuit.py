@@ -14,10 +14,9 @@ order over their gates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import AbstractSet, Callable, Iterable, Mapping
 
-from .core import Multivector, _accumulate, blade_mul
+from .core import Coefficient, Multivector, _accumulate, blade_mul
 
 
 class TargetOccupiedError(RuntimeError):
@@ -275,7 +274,7 @@ def linear_extend(op: Callable[[int], Multivector]) -> Callable[[Multivector], M
         images = [(op(mask), coeff) for mask, coeff in state.terms.items()]
         dim = images[-1][0].dimension if images else state.dimension
         terms = ((m, coeff * c) for image, coeff in images for m, c in image.terms.items())
-        return Multivector(dim, _accumulate(terms))
+        return Multivector._wrap(dim, _accumulate(terms))
 
     return extended
 
@@ -310,7 +309,7 @@ def relabel_and_discard(
         dimension = max((dst for dst in targets), default=-1) + 1
 
     moves = sorted(place_map.items())
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Coefficient] = {}
     for mask, coeff in state.terms.items():
         if mask & ~(kept_mask | discard_mask):
             stray = mask & ~(kept_mask | discard_mask)
@@ -321,14 +320,14 @@ def relabel_and_discard(
         for src, dst in moves:
             if mask >> src & 1:
                 out |= 1 << dst
-        acc[out] = acc.get(out, Fraction(0)) + coeff
+        acc[out] = acc.get(out, 0) + coeff
     lost = [m for m, c in acc.items() if c == 0]
     if lost:
         raise CollisionError(
             "discard set loses information: terms cancel at mask(s) "
             + ", ".join(format(m, "#x") for m in sorted(lost))
         )
-    return Multivector(dimension, {m: abs(c) for m, c in acc.items()})
+    return Multivector._wrap(dimension, {m: abs(c) for m, c in acc.items()})
 
 
 def format_netlist(netlist: Netlist) -> str:

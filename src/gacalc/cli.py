@@ -34,34 +34,40 @@ class RunReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _parse_int_set(spec: str) -> set[int]:
-    """Comma-separated integers and inclusive ``a..b`` ranges."""
+def _parse_int_set(spec: str, width: int) -> set[int]:
+    """Comma-separated integers and inclusive ``a..b`` ranges in [0, 2^width).
+
+    Each value and range end is range-checked before any range is expanded.
+    """
     out: set[int] = set()
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
-        if ".." in token:
-            lo_s, _, hi_s = token.partition("..")
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise UsageError(f"empty range {token!r}")
-            out.update(range(lo, hi + 1))
-        else:
-            out.add(int(token))
+        lo_s, dots, hi_s = token.partition("..")
+        lo = int(lo_s)
+        hi = int(hi_s) if dots else lo
+        for value in (lo, hi):
+            if value < 0 or value >> width:
+                raise UsageError(f"{value} outside [0, 2^{width})")
+        if hi < lo:
+            raise UsageError(f"empty range {token!r}")
+        out.update(range(lo, hi + 1))
     return out
 
 
 def cmd_search(args: argparse.Namespace) -> RunReport:
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
     try:
-        elements = _parse_int_set(args.set)
+        elements = _parse_int_set(args.set, args.n)
     except ValueError as exc:
         raise UsageError(f"bad --set value: {exc}") from None
     if (args.marked is None) == (args.mod is None):
         raise UsageError("exactly one of --marked or --mod is required")
     if args.marked is not None:
         try:
-            marked = _parse_int_set(args.marked)
+            marked = _parse_int_set(args.marked, args.n)
         except ValueError as exc:
             raise UsageError(f"bad --marked value: {exc}") from None
         predicate = lambda x: x in marked
@@ -76,8 +82,6 @@ def cmd_search(args: argparse.Namespace) -> RunReport:
             raise UsageError(f"bad --mod value (want a:b for x mod a == b): {exc}") from None
         predicate = lambda x: x % a == b
         predicate_desc = {"kind": "mod", "a": a, "b": b}
-    if any(x < 0 or x >> args.n for x in elements):
-        raise UsageError(f"--set contains values outside [0, 2^{args.n})")
 
     start = time.perf_counter()
     sl = search.SearchLayout(args.n)

@@ -2,8 +2,11 @@
 
 A basis blade e_{i1}...e_{ik} (ascending indices) is stored as an int bitmask
 with bit i set for each factor e_{i+1}; the empty mask is the scalar blade 1.
-A multivector is a sparse map ``mask -> Fraction`` holding only nonzero
-coefficients, so equality is exact map comparison with no tolerance.
+A multivector is a sparse map ``mask -> coefficient`` holding only nonzero
+coefficients, so equality is exact map comparison with no tolerance.  A
+coefficient is an ``int`` until a division makes it a ``Fraction``; the two
+compare and hash alike (``Fraction(2) == 2``), so the mix never shows in
+equality or in serialized records.
 
 The signature is fixed Euclidean (every e_i squares to +1).  Multivectors are
 immutable values: every operation returns a fresh instance, which makes them
@@ -58,9 +61,12 @@ def blade_mul(a: int, b: int) -> tuple[int, int]:
     return a ^ b, reorder_sign(a, b)
 
 
-def _accumulate(pairs: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
+Coefficient = int | Fraction
+
+
+def _accumulate(pairs: Iterable[tuple[int, Coefficient]]) -> dict[int, Coefficient]:
     """Sum ``(mask, coefficient)`` pairs per mask, dropping exact zeros."""
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Coefficient] = {}
     for mask, c in pairs:
         prev = acc.get(mask)
         if prev is None:
@@ -70,6 +76,11 @@ def _accumulate(pairs: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
         else:
             del acc[mask]
     return acc
+
+
+def _is_exact(value: object) -> bool:
+    """Is ``value`` an ``int`` (not a ``bool``) or a ``Fraction``?"""
+    return type(value) is int or isinstance(value, Fraction)
 
 
 def grade(mask: int) -> int:
@@ -86,36 +97,51 @@ def _blade_str(mask: int) -> str:
 class Multivector:
     """Sparse linear combination of basis blades with exact rational coefficients.
 
-    ``terms`` maps blade masks to nonzero ``Fraction`` values.  Construction
-    normalizes: coefficients are coerced to ``Fraction`` and zero terms are
-    dropped, so two multivectors are equal iff dimensions and term maps match.
+    ``terms`` maps blade masks to nonzero ``int`` or ``Fraction`` values.
+    Construction normalizes: zero terms are dropped, so two multivectors are
+    equal iff dimensions and term maps match.  An ``int`` stays an ``int``
+    and a ``Fraction`` stays a ``Fraction``; any other coefficient type
+    (``float``, ``str``, ``bool``, ...) raises ``TypeError``.
     """
 
     __slots__ = ("_dim", "_terms")
 
-    def __init__(self, dimension: int, terms: Mapping[int, object] | None = None):
+    def __init__(self, dimension: int, terms: Mapping[int, Coefficient] | None = None):
         if dimension < 0:
             raise ValueError(f"dimension must be nonnegative, got {dimension}")
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Coefficient] = {}
         if terms:
             for mask, coeff in terms.items():
                 if mask < 0 or mask >> dimension:
                     raise ValueError(
                         f"blade mask {mask:#x} outside dimension {dimension}"
                     )
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if c:
-                    clean[mask] = c
+                if not _is_exact(coeff):
+                    raise TypeError(
+                        f"coefficient {coeff!r} of blade mask {mask:#x}"
+                        " is not an int or a Fraction"
+                    )
+                if coeff:
+                    clean[mask] = coeff
         self._dim = dimension
         self._terms = clean
 
     @classmethod
-    def _raw(cls, dimension: int, clean_terms: dict[int, Fraction]) -> "Multivector":
+    def _raw(cls, dimension: int, clean_terms: dict[int, Coefficient]) -> "Multivector":
         # Internal fast path: caller guarantees normalized, in-range terms.
         mv = object.__new__(cls)
         mv._dim = dimension
         mv._terms = clean_terms
         return mv
+
+    @classmethod
+    def _wrap(cls, dimension: int, terms: dict[int, Coefficient]) -> "Multivector":
+        # Internal: ``terms`` is normalized (nonzero int/Fraction values) but
+        # its masks are unchecked; one min/max pass checks the range, and the
+        # dict is wrapped as is, not copied.
+        if dimension < 0 or terms and (min(terms) < 0 or max(terms) >> dimension):
+            raise ValueError(f"blade masks do not fit dimension {dimension}")
+        return cls._raw(dimension, terms)
 
     @classmethod
     def zero(cls, dimension: int) -> "Multivector":
@@ -133,18 +159,18 @@ class Multivector:
     def basis_vector(cls, dimension: int, index: int) -> "Multivector":
         if not 0 <= index < dimension:
             raise ValueError(f"basis index {index} outside [0, {dimension})")
-        return cls._raw(dimension, {1 << index: Fraction(1)})
+        return cls._raw(dimension, {1 << index: 1})
 
     @property
     def dimension(self) -> int:
         return self._dim
 
     @property
-    def terms(self) -> Mapping[int, Fraction]:
+    def terms(self) -> Mapping[int, Coefficient]:
         return MappingProxyType(self._terms)
 
-    def coefficient(self, mask: int) -> Fraction:
-        return self._terms.get(mask, Fraction(0))
+    def coefficient(self, mask: int) -> Coefficient:
+        return self._terms.get(mask, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -190,11 +216,12 @@ class Multivector:
         return Multivector._raw(self._dim, {m: -c for m, c in self._terms.items()})
 
     def scale(self, factor) -> "Multivector":
-        """Multiply every coefficient by an exact scalar."""
-        f = factor if isinstance(factor, Fraction) else Fraction(factor)
-        if not f:
+        """Multiply every coefficient by an exact scalar (``int`` or ``Fraction``)."""
+        if not _is_exact(factor):
+            raise TypeError(f"scale factor {factor!r} is not an int or a Fraction")
+        if not factor:
             return Multivector.zero(self._dim)
-        return Multivector._raw(self._dim, {m: c * f for m, c in self._terms.items()})
+        return Multivector._raw(self._dim, {m: c * factor for m, c in self._terms.items()})
 
     def geometric_product(self, other: "Multivector") -> "Multivector":
         """Bilinear extension of the blade product with anticommutation signs."""
@@ -223,10 +250,7 @@ class Multivector:
                 out, sign = f(mask)
                 yield out, (c if sign > 0 else -c)
 
-        acc = _accumulate(images())
-        if dim < 0 or acc and (min(acc) < 0 or max(acc) >> dim):
-            raise ValueError(f"blade images do not fit dimension {dim}")
-        return Multivector._raw(dim, acc)
+        return Multivector._wrap(dim, _accumulate(images()))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):

@@ -82,7 +82,7 @@ def build_factoring_superposition(
         y_part = y1_sub.encode(y) | y2_sub.encode(y)
         for x in xs:
             terms[x_sub.encode(x) | y_part] = 1
-    return Multivector(fl.dimension, terms)
+    return Multivector._wrap(fl.dimension, terms)
 
 
 def _fast_multiply_op(fl: FactoringLayout):

@@ -364,7 +364,7 @@ def build_free_superposition(params: TruncationParams) -> Multivector:
             for part in combo:
                 mask |= part
             terms[mask] = 1
-    return Multivector(params.dimension, terms)
+    return Multivector._wrap(params.dimension, terms)
 
 
 def apply_step_operator(state: Multivector, i: int, params: TruncationParams) -> Multivector:
@@ -483,7 +483,7 @@ def build_chained_superposition(
                     coeff *= sign
                 yield mask, coeff
 
-    return Multivector(params.dimension, _accumulate(chains()))
+    return Multivector._wrap(params.dimension, _accumulate(chains()))
 
 
 def bounded_halt_probe(

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .core import Multivector
-from .encoding import SubspaceLayout, decode, encode
+from .encoding import SubspaceLayout, decode
 
 
 class MembershipOracle:
@@ -54,14 +54,14 @@ class SearchLayout:
 
 def build_initial_state(elements: Iterable[int], sl: SearchLayout) -> Multivector:
     """Superpose ``coded(x) * (1 - e_flag)`` over every database element x."""
-    terms: dict[int, Fraction] = {}
-    one = Fraction(1)
+    terms: dict[int, int] = {}
     flag = 1 << sl.oracle_dim
+    encode = sl.layout["data"].encode
     for x in set(elements):
-        mask = encode(x, "data", sl.layout)
-        terms[mask] = one
-        terms[mask | flag] = -one
-    return Multivector(sl.dimension, terms)
+        mask = encode(x)
+        terms[mask] = 1
+        terms[mask | flag] = -1
+    return Multivector._wrap(sl.dimension, terms)
 
 
 def apply_oracle(oracle: MembershipOracle, state: Multivector, sl: SearchLayout) -> Multivector:

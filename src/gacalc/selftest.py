@@ -69,6 +69,21 @@ def _check_blade_core() -> list[PropertyResult]:
     ok = all(core.reorder_sign(a, b) == _bubble_parity_sign(a, b) for a, b in pairs)
     out.append(PropertyResult("blade-core", "reorder-sign-parity", ok))
 
+    rng = random.Random(13)
+    ok = True
+    for _ in range(40):
+        a, b = (
+            core.Multivector(8, {rng.randrange(256): rng.randint(-4, 4) for _ in range(6)})
+            for _ in range(2)
+        )
+        fa, fb = (
+            core.Multivector(8, {m: Fraction(c) for m, c in x.terms.items()}) for x in (a, b)
+        )
+        for got, want in ((a * b, fa * fb), (a + b, fa + fb), (a - b, fa - fb)):
+            if got != want or core.to_records(got) != core.to_records(want):
+                ok = False
+    out.append(PropertyResult("blade-core", "int-fraction-agree", ok))
+
     rng = random.Random(11)
     ok = True
     for _ in range(40):

@@ -1,5 +1,6 @@
 """CLI subcommands: results, formats, exit statuses, report stability."""
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,37 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--n", "4", "--set", "0..15", "--marked", "2,9")
         assert code == 0
         assert "matches: 2 9" in out
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_width_below_one(self, capsys, n):
+        code, _, err = run(capsys, "search", "--n", n, "--set", "0", "--marked", "0")
+        assert code == 2
+        assert "--n must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--set", "0,16"), ("--set", "3..16"), ("--set", "-1..3"), ("--marked", "2,16")],
+    )
+    def test_value_outside_width(self, capsys, flag, value):
+        args = {"--set": "0..15", "--marked": "2"}
+        args[flag] = value
+        argv = [f"{k}={v}" for k, v in args.items()]
+        code, _, err = run(capsys, "search", "--n", "4", *argv)
+        assert code == 2
+        assert f"bad {flag} value" in err and "outside [0, 2^4)" in err
+
+    def test_huge_range_rejected_before_expansion(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, err = run(
+                capsys, "search", "--n", "8", "--set", "0..100000000", "--marked", "1"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "100000000 outside [0, 2^8)" in err
+        assert peak < 1 << 20
 
 
 class TestFactor:

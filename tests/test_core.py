@@ -62,6 +62,11 @@ def random_mv(rng: random.Random, dim: int, terms: int) -> Multivector:
     )
 
 
+int_mv_strategy = st.builds(
+    lambda d: Multivector(8, d),
+    st.dictionaries(st.integers(0, 255), st.integers(-4, 4), max_size=6),
+)
+
 mv_strategy = st.builds(
     lambda d: Multivector(8, d),
     st.dictionaries(
@@ -175,6 +180,53 @@ class TestGeometricProduct:
             e(3, 0) + e(4, 0)
 
 
+class TestCoefficientTypes:
+    BAD = {"float": 0.1, "str": "1/2", "bool": True}
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_constructor_rejects(self, kind):
+        bad = self.BAD[kind]
+        with pytest.raises(TypeError, match="blade mask 0x5") as exc:
+            Multivector(3, {5: bad})
+        assert repr(bad) in str(exc.value)
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_scale_rejects(self, kind):
+        bad = self.BAD[kind]
+        with pytest.raises(TypeError, match="scale factor") as exc:
+            Multivector.blade(3, 0b1).scale(bad)
+        assert repr(bad) in str(exc.value)
+
+    def test_int_and_fraction_kept_as_given(self):
+        a = Multivector(3, {0b1: 2, 0b10: Fraction(2), 0b100: Fraction(1, 2)})
+        assert [type(a.coefficient(m)) for m in (0b1, 0b10, 0b100)] == [int, Fraction, Fraction]
+        assert type(a.scale(3).coefficient(0b1)) is int
+        assert a.coefficient(0b11) == 0 and type(a.coefficient(0b11)) is int
+
+    def test_map_blades_keeps_ints(self):
+        a = Multivector(4, {0b1: 1, 0b10: -1, 0b11: 3})
+        for name in sorted(TestMapBlades.MAPS):
+            f, extra = TestMapBlades.MAPS[name]
+            out = a.map_blades(f, a.dimension + extra)
+            assert out and all(type(c) is int for c in out.terms.values())
+
+
+class TestWrap:
+    def test_rejects_masks_outside_dimension(self):
+        with pytest.raises(ValueError, match="fit dimension 3"):
+            Multivector._wrap(3, {0b1000: 1})
+        with pytest.raises(ValueError, match="fit dimension 3"):
+            Multivector._wrap(3, {-1: 1})
+        with pytest.raises(ValueError, match="fit dimension -1"):
+            Multivector._wrap(-1, {})
+
+    def test_wraps_without_copying(self):
+        terms = {0: 1, 0b111: Fraction(1, 2)}
+        mv = Multivector._wrap(3, terms)
+        assert mv == Multivector(3, terms)
+        assert mv._terms is terms
+
+
 class TestLinearOps:
     def test_add_zero(self):
         a = Multivector(4, {0b11: 2, 0: -1})
@@ -255,6 +307,33 @@ def test_map_blades_is_linear(a, b, k, name):
     lift = lambda x: x.map_blades(f, dim)
     assert lift(a + b) == lift(a) + lift(b)
     assert lift(a.scale(k)) == lift(a).scale(k)
+
+
+@settings(max_examples=150)
+@given(
+    int_mv_strategy,
+    int_mv_strategy,
+    st.one_of(
+        st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    ),
+    st.sampled_from(sorted(TestMapBlades.MAPS)),
+)
+def test_int_coefficients_agree_with_fractions(as_fractions, a, b, k, name):
+    f, extra = TestMapBlades.MAPS[name]
+    dim = a.dimension + extra
+    even = lambda m: m.bit_count() % 2 == 0
+    fa, fb = as_fractions(a), as_fractions(b)
+    pairs = [
+        (a + b, fa + fb),
+        (a - b, fa - fb),
+        (a.scale(k), fa.scale(k)),
+        (a * b, fa * fb),
+        (a.map_blades(f, dim), fa.map_blades(f, dim)),
+        (a.project(even), fa.project(even)),
+    ]
+    for got, want in pairs:
+        assert got == want
+        assert to_records(got) == to_records(want)
 
 
 class TestProjection:

@@ -1,9 +1,10 @@
 """Factoring pipeline against trial division, plus faithful/fast route equality."""
 import pytest
 
-from gacalc.core import Multivector, ResourceCapError
+from gacalc.core import Multivector, ResourceCapError, to_records
 from gacalc.encoding import decode, encode
 from gacalc.factoring import (
+    ROUTES,
     FactoringLayout,
     build_factoring_superposition,
     factor_pipeline,
@@ -86,6 +87,17 @@ class TestMultiplyAll:
                 assert multiply_all(fl, term, route="fast") == multiply_all(
                     fl, term, route="faithful"
                 )
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_agrees_with_fraction_copy(self, route, as_fractions):
+        fl = FactoringLayout(4)
+        state = build_factoring_superposition(fl)
+        assert all(type(c) is int for c in state.terms.values())
+        got = multiply_all(fl, state, route=route)
+        want = multiply_all(fl, as_fractions(state), route=route)
+        assert got == want
+        assert to_records(got) == to_records(want)
+        assert all(type(c) is int for c in got.terms.values())
 
     def test_merged_multiplicities_positive(self):
         # every x multiplied by y = 0 lands on the same term; coefficients add

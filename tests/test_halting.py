@@ -1,10 +1,11 @@
 """Bounded halting probe: codecs, step operator, projections, oracle agreement."""
 import json
+import random
 import tracemalloc
 
 import pytest
 
-from gacalc.core import Multivector, ResourceCapError
+from gacalc.core import Multivector, ResourceCapError, to_records
 from gacalc.encoding import encode
 from gacalc.halting import (
     Config,
@@ -198,6 +199,26 @@ class TestFreeConstruction:
 
 
 class TestStepOperator:
+    def test_agrees_with_fraction_copy(self, as_fractions):
+        machines = [CORPUS["bb1"], CORPUS["runner-right"]]
+        params = TruncationParams(machines, steps=2, cells=1, state_codes=[0, 1])
+        free = build_free_superposition(params)
+        rng = random.Random(5)
+        weighted = Multivector(params.dimension, {m: rng.randint(-3, 3) for m in free.masks()})
+        for state in (free, weighted):
+            for i in range(params.steps):
+                got = apply_step_operator(state, i, params)
+                want = apply_step_operator(as_fractions(state), i, params)
+                assert got == want
+                assert to_records(got) == to_records(want)
+                state = got
+
+    def test_builders_hold_ints(self):
+        machines = [CORPUS["bb1"], CORPUS["runner-right"]]
+        params = TruncationParams(machines, steps=2, cells=1, state_codes=[0, 1])
+        for state in (build_free_superposition(params), build_chained_superposition(params)):
+            assert state and all(type(c) is int for c in state.terms.values())
+
     def test_zero_in_zero_out(self):
         params = TruncationParams([CORPUS["bb1"]], steps=1, cells=1)
         zero = Multivector.zero(params.dimension)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gacalc.core import Multivector
+from gacalc.core import Multivector, to_records
 from gacalc.encoding import encode
 from gacalc.search import (
     MembershipOracle,
@@ -162,3 +162,30 @@ class TestNonInvertibleOperations:
         assert half_difference_filter(marked(), a, sl) == half_difference_filter(
             marked(), b, sl
         )
+
+
+class TestIntCoefficients:
+    def test_state_and_oracle_image_hold_ints(self):
+        sl = SearchLayout(5)
+        state = build_initial_state(range(0, 32, 3), sl)
+        image = apply_oracle(MembershipOracle(lambda x: x % 2), state, sl)
+        for mv in (state, image):
+            assert mv and all(type(c) is int for c in mv.terms.values())
+
+    def test_filter_agrees_with_fraction_copy(self, as_fractions):
+        rng = random.Random(41)
+        sl = SearchLayout(6)
+        for _ in range(30):
+            marked = set(rng.sample(range(64), rng.randint(0, 20)))
+            built = build_initial_state(rng.sample(range(64), rng.randint(0, 30)), sl)
+            mixed = Multivector(
+                sl.dimension,
+                {rng.randrange(1 << sl.dimension): rng.randint(-3, 3) for _ in range(12)},
+            )
+            for state in (built, mixed):
+                got = half_difference_filter(MembershipOracle(marked.__contains__), state, sl)
+                want = half_difference_filter(
+                    MembershipOracle(marked.__contains__), as_fractions(state), sl
+                )
+                assert got == want
+                assert to_records(got) == to_records(want)
