@@ -169,6 +169,37 @@ def run_netlist(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
     return memory
 
 
+def run_netlist_planes(
+    netlist: Netlist, planes: Mapping[int, int], lanes: int
+) -> dict[int, int]:
+    """Run the netlist on ``lanes`` memories at once, bitsliced.
+
+    ``planes`` maps a place to its plane: bit t is that place's bit in lane
+    t, and an absent place reads as the zero plane.  Each gate is one
+    ``full ^ (P & Q)`` over every lane, and each wire is freed after its
+    last read unless it is an output.  Returns the output places' planes; an
+    output that no gate writes reads as the zero plane.
+    """
+    netlist.validate()
+    for place, plane in planes.items():
+        if plane and netlist._targets >> place & 1:
+            raise TargetOccupiedError(
+                f"target place {place} is not empty in the initial planes"
+            )
+    full = (1 << lanes) - 1
+    outputs = set(netlist.outputs)
+    last_read = {}
+    for idx, g in enumerate(netlist.gates):
+        last_read[g.p] = last_read[g.q] = idx
+    wires = dict(planes)
+    for idx, g in enumerate(netlist.gates):
+        wires[g.r] = full ^ (wires.get(g.p, 0) & wires.get(g.q, 0))
+        for place in (g.p, g.q):
+            if last_read[place] == idx and place not in outputs:
+                wires.pop(place, None)
+    return {place: wires.get(place, 0) for place in netlist.outputs}
+
+
 class GateBuilder:
     """Emits NAND gates, allocating one fresh place per gate output."""
 

@@ -319,14 +319,17 @@ def to_records(mv: Multivector) -> list[dict[str, str]]:
 def from_records(records: Iterable[Mapping[str, str]], dimension: int) -> Multivector:
     """Inverse of :func:`to_records` for the given algebra dimension.
 
-    A record with a missing field or a zero denominator raises
-    ``ValueError`` naming the record.
+    A coefficient whose reduced denominator is 1 is stored as an ``int``,
+    any other as a ``Fraction``.  A record with a missing field or a zero
+    denominator raises ``ValueError`` naming the record.
     """
-    terms: dict[int, Fraction] = {}
+    terms: dict[int, Coefficient] = {}
     for rec in records:
         try:
             mask = int(rec["mask"], 16)
             coeff = Fraction(int(rec["num"]), int(rec["den"]))
+            if coeff.denominator == 1:
+                coeff = coeff.numerator
         except KeyError as exc:
             raise ValueError(f"record {rec!r} lacks field {exc}") from None
         except ZeroDivisionError:

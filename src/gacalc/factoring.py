@@ -6,11 +6,19 @@ pipeline).  One application of the lifted multiplier rewrites every term to
 the wide product xy across subspaces "0"+"1" with y still in "2"; projecting
 onto product = Z and reading subspace "2" then yields every divisor of Z.
 
-Two multiplier routes are provided: the faithful route runs the NAND
+``multiply_all`` is the multiplier on an arbitrary state, by one of two
+interchangeable routes (tested equal): the faithful route runs the NAND
 multiplier netlist on each blade and relabels the product places back into
 the layout, the fast route permutes blades directly with host-integer
-multiplication.  They are interchangeable (and tested equal); the fast route
-just scales further.
+multiplication.
+
+``factor_pipeline`` runs the full superposition.  Its faithful route builds
+the 4^n-term state and multiplies it blade by blade as above.  Its fast
+route runs the same NAND netlist bitsliced: lane t of a plane is the term
+with x = t mod 2^n and y = t >> n, every gate acts on all 4^n lanes at once
+(:func:`gacalc.circuit.run_netlist_planes`), and the projection onto
+product = Z is an AND of the product planes, so the 4^n-term state is never
+built.  Only the surviving lanes become terms.
 """
 from __future__ import annotations
 
@@ -23,6 +31,7 @@ from .circuit import (
     build_nand_multiplier,
     relabel_and_discard,
     run_netlist,
+    run_netlist_planes,
 )
 from .core import Multivector, ResourceCapError
 from .encoding import SubspaceLayout, decode_wide, encode_wide
@@ -58,6 +67,13 @@ def _multiplier_for(n: int) -> Netlist:
     return build_nand_multiplier(n, a_places=a, b_places=b, first_free=3 * n)
 
 
+def _check_cap(n: int, max_n: int) -> None:
+    if n > max_n:
+        raise ResourceCapError(
+            f"width {n} exceeds the configured cap {max_n} (4^n terms)"
+        )
+
+
 def build_factoring_superposition(
     fl: FactoringLayout,
     xs: Iterable[int] | None = None,
@@ -70,10 +86,7 @@ def build_factoring_superposition(
     coefficients; restricted ranges give the corresponding sub-superposition.
     """
     n = fl.n
-    if n > max_n:
-        raise ResourceCapError(
-            f"width {n} exceeds the configured cap {max_n} (4^n terms)"
-        )
+    _check_cap(n, max_n)
     xs = range(1 << n) if xs is None else list(xs)
     ys = range(1 << n) if ys is None else list(ys)
     x_sub, y1_sub, y2_sub = (fl.layout[name] for name in "012")
@@ -139,6 +152,40 @@ def read_divisors(fl: FactoringLayout, state: Multivector) -> set[int]:
     return {y_sub.decode(mask) for mask in state.masks()}
 
 
+def _operand_planes(netlist: Netlist, lanes: int) -> dict[int, int]:
+    """Planes of the full operand grid: input j carries bit j of lane index t.
+
+    The plane of lane bit j repeats 2^j zeros then 2^j ones; it is built by
+    doubling one period up to ``lanes`` bits, linear in ``lanes``.
+    """
+    planes = {}
+    for j, place in enumerate(netlist.inputs):
+        half = 1 << j
+        plane, period = ((1 << half) - 1) << half, 2 * half
+        while period < lanes:
+            plane |= plane << period
+            period *= 2
+        planes[place] = plane
+    return planes
+
+
+def _plane_divisors(fl: FactoringLayout, z: int) -> list[int]:
+    """y of every lane whose NAND-multiplied product equals z, ascending."""
+    netlist = fl.multiplier_netlist()
+    lanes = 1 << 2 * fl.n
+    full = (1 << lanes) - 1
+    product = run_netlist_planes(netlist, _operand_planes(netlist, lanes), lanes)
+    hits = full
+    for k, place in enumerate(netlist.output_groups[0]):
+        hits &= product[place] if z >> k & 1 else full ^ product[place]
+    ys = []
+    while hits:
+        low = hits & -hits
+        ys.append((low.bit_length() - 1) >> fl.n)
+        hits ^= low
+    return ys
+
+
 def factor_pipeline(
     z: int,
     n: int,
@@ -158,10 +205,20 @@ def factor_pipeline(
             f"width n={n} cannot represent every divisor of {z}; need 2^n > z"
         )
     fl = FactoringLayout(n)
-    state = build_factoring_superposition(fl, max_n=max_n)
-    terms_before = len(state)
-    multiplied = multiply_all(fl, state, route=route)
-    projected = project_product(fl, multiplied, z)
+    if route == "fast":
+        _check_cap(n, max_n)
+        terms_before = 4**n
+        product, y_sub = encode_wide(z, "0", "1", fl.layout), fl.layout["2"]
+        # For z >= 1 each divisor y has one x, so no two lanes share a term.
+        projected = Multivector._wrap(
+            fl.dimension,
+            {product | y_sub.encode(y): 1 for y in _plane_divisors(fl, z)},
+        )
+    else:
+        state = build_factoring_superposition(fl, max_n=max_n)
+        terms_before = len(state)
+        multiplied = multiply_all(fl, state, route=route)
+        projected = project_product(fl, multiplied, z)
     out = {
         "z": z,
         "n": n,

@@ -207,7 +207,18 @@ def _check_factoring() -> list[PropertyResult]:
         for z in range(1, 32)
     )
     ok = ok and factoring.factor_pipeline(6, 3, route="faithful")["divisors"] == [1, 2, 3, 6]
-    return [PropertyResult("factoring", "divisors-match-trial-division", ok)]
+    out = [PropertyResult("factoring", "divisors-match-trial-division", ok)]
+
+    ok = True
+    for z in range(1, 16):
+        fast, faithful = (
+            factoring.factor_pipeline(z, 4, route=route, keep_state=True)
+            for route in ("fast", "faithful")
+        )
+        if fast["divisors"] != faithful["divisors"] or fast["state"] != faithful["state"]:
+            ok = False
+    out.append(PropertyResult("factoring", "planes-match-blade-route", ok))
+    return out
 
 
 def _check_halting() -> list[PropertyResult]:

@@ -268,6 +268,10 @@ def test_criterion_5_factoring():
         got = read_divisors(fl, project_product(fl, multiplied, z))
         assert got == trial_divisors(z), f"fast z={z}"
 
+    # the pipeline's bitsliced fast route, n = 8: every target below 256
+    for z in range(1, 256):
+        assert factor_pipeline(z, 8)["divisors"] == sorted(trial_divisors(z)), f"planes z={z}"
+
     # faithful route, n = 5: every target below 32
     fl = FactoringLayout(5)
     multiplied = multiply_all(fl, build_factoring_superposition(fl), route="faithful")

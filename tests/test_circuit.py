@@ -1,6 +1,7 @@
 """NAND memory semantics, netlist execution and the gate-level multiplier."""
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +24,11 @@ from gacalc.circuit import (
     read_outputs,
     relabel_and_discard,
     run_netlist,
+    run_netlist_planes,
 )
 from gacalc.core import Multivector
+
+NETLISTS = Path(__file__).parent.parent / "src" / "gacalc" / "netlists"
 
 
 def boolean_eval(netlist: Netlist, values) -> dict[int, int]:
@@ -197,6 +201,74 @@ class TestRunNetlist:
         last = nl.gates[-1].r
         with pytest.raises(TargetOccupiedError, match=f"place {last} is not empty"):
             run_netlist(nl, MemoryBlade(1 << last))
+
+
+def exhaustive_planes(netlist: Netlist) -> tuple[dict[int, int], int]:
+    """One lane per input assignment: input place j holds bit j of lane t."""
+    inputs = netlist.inputs
+    lanes = 1 << len(inputs)
+    planes = {
+        place: sum(1 << t for t in range(lanes) if t >> j & 1)
+        for j, place in enumerate(inputs)
+    }
+    return planes, lanes
+
+
+def lane_values(netlist: Netlist, t: int) -> list[int]:
+    values, shift = [], 0
+    for group in netlist.input_groups:
+        values.append(t >> shift & ((1 << len(group)) - 1))
+        shift += len(group)
+    return values
+
+
+class TestRunNetlistPlanes:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_nand_multiplier(1),
+            lambda: build_nand_multiplier(2),
+            lambda: build_nand_multiplier(3),
+            lambda: parse_netlist((NETLISTS / "mult3.nand").read_text()),
+        ],
+        ids=["mult1", "mult2", "mult3", "mult3.nand"],
+    )
+    def test_matches_run_netlist_lane_by_lane(self, make):
+        nl = make()
+        planes, lanes = exhaustive_planes(nl)
+        given = dict(planes)
+        out = run_netlist_planes(nl, planes, lanes)
+        assert planes == given  # the caller's planes are not consumed
+        assert set(out) == set(nl.outputs)
+        for t in range(lanes):
+            mem = run_netlist(nl, load_memory(nl, lane_values(nl, t)))
+            for place in nl.outputs:
+                assert out[place] >> t & 1 == bit_read(mem, place), (t, place)
+
+    def test_nonzero_plane_on_target_rejected(self):
+        nl = build_nand_multiplier(2)
+        last = nl.gates[-1].r
+        planes, lanes = exhaustive_planes(nl)
+        with pytest.raises(TargetOccupiedError, match=f"place {last} is not empty"):
+            run_netlist_planes(nl, {**planes, last: 0b100}, lanes)
+        # an all-zero plane on a target is an empty place in every lane
+        assert run_netlist_planes(nl, {**planes, last: 0}, lanes) == run_netlist_planes(
+            nl, planes, lanes
+        )
+
+    def test_invalid_netlist_rejected(self):
+        nl = Netlist([NandGate(0, 5, 2)], [[0], [1]], [[2]])
+        with pytest.raises(NetlistValidationError, match="reads place 5"):
+            run_netlist_planes(nl, {0: 0b10, 1: 0b11}, 2)
+
+    def test_unwritten_top_product_place_reads_zero(self):
+        nl = build_nand_multiplier(1)
+        top = nl.outputs[-1]
+        assert top not in {g.r for g in nl.gates}
+        planes, lanes = exhaustive_planes(nl)
+        out = run_netlist_planes(nl, planes, lanes)
+        assert out[top] == 0
+        assert out[nl.outputs[0]] == 0b1000  # AND: only lane a = b = 1
 
 
 class TestNetlistValidation:

@@ -122,6 +122,25 @@ class TestFactor:
         # terms: one per divisor, product 6 in subspaces 0+1, divisor in 2
         assert len(records) == 4
 
+    @pytest.mark.parametrize("z,n", [(91, 7), (6, 3)])
+    def test_dump_state_same_on_both_routes(self, capsys, z, n):
+        states = []
+        for route in ("fast", "faithful"):
+            code, report, _ = run_json(
+                capsys, "factor", "--z", str(z), "--n", str(n), "--route", route, "--dump-state"
+            )
+            assert code == 0
+            states.append(report["result"]["state"])
+        assert states[0] == states[1]
+
+    @pytest.mark.parametrize(
+        "argv,cap", [(("--z", "1", "--n", "13"), 12), (("--z", "3", "--n", "5", "--max-n", "4"), 4)]
+    )
+    def test_width_cap_exits_1(self, capsys, argv, cap):
+        code, _, err = run(capsys, "factor", *argv)
+        assert code == 1
+        assert f"exceeds the configured cap {cap}" in err
+
 
 class TestHaltProbe:
     def test_bb2_both_modes(self, capsys):

@@ -16,6 +16,7 @@ from gacalc.core import (
     to_records,
 )
 from gacalc.circuit import linear_extend
+from gacalc.search import SearchLayout, build_initial_state
 
 
 def bubble_sign(a: int, b: int) -> int:
@@ -390,6 +391,21 @@ def test_from_records_missing_field_names_record():
     with pytest.raises(ValueError, match="lacks field 'den'") as exc:
         from_records([{"mask": "3", "num": "1"}], 4)
     assert "'mask': '3'" in str(exc.value)
+
+
+def test_from_records_keeps_integral_coefficients_int():
+    state = build_initial_state(range(16), SearchLayout(4))
+    back = from_records(to_records(state), state.dimension)
+    assert back == state
+    assert back.terms and all(type(c) is int for c in back.terms.values())
+    reduced = from_records([{"mask": "1", "num": "4", "den": "2"}], 2)
+    assert type(reduced.coefficient(1)) is int and reduced.coefficient(1) == 2
+
+
+def test_from_records_keeps_proper_fractions():
+    half = from_records([{"mask": "3", "num": "3", "den": "2"}], 4)
+    assert half.coefficient(3) == Fraction(3, 2)
+    assert type(half.coefficient(3)) is Fraction
 
 
 def test_grade_helper():

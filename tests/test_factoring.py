@@ -1,4 +1,7 @@
 """Factoring pipeline against trial division, plus faithful/fast route equality."""
+import tracemalloc
+from functools import lru_cache
+
 import pytest
 
 from gacalc.core import Multivector, ResourceCapError, to_records
@@ -181,8 +184,12 @@ class TestPipeline:
         assert sub == Multivector(fl.dimension, expect)
 
     def test_route_cap(self):
-        with pytest.raises(ResourceCapError):
-            factor_pipeline(3, 6, route="fast", max_n=5)
+        with pytest.raises(ResourceCapError) as built:
+            build_factoring_superposition(FactoringLayout(6), max_n=5)
+        for route in ROUTES:
+            with pytest.raises(ResourceCapError) as piped:
+                factor_pipeline(3, 6, route=route, max_n=5)
+            assert str(piped.value) == str(built.value)
 
     def test_readout_at_any_stage_is_nondestructive(self):
         fl = FactoringLayout(3)
@@ -194,3 +201,37 @@ class TestPipeline:
         projected = project_product(fl, multiplied, 6)
         assert read_divisors(fl, multiplied) == set(range(8))  # still readable
         assert read_divisors(fl, projected) == {1, 2, 3, 6}
+
+
+@lru_cache(maxsize=None)
+def multiplied_superposition(n: int, route: str) -> Multivector:
+    fl = FactoringLayout(n)
+    return multiply_all(fl, build_factoring_superposition(fl), route=route)
+
+
+class TestPlanePipeline:
+    """The bitsliced fast pipeline against both per-term ``multiply_all`` routes."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_multiply_all_then_project(self, n, route):
+        fl = FactoringLayout(n)
+        multiplied = multiplied_superposition(n, route)
+        for z in range(1, 1 << n):
+            want = project_product(fl, multiplied, z)
+            got = factor_pipeline(z, n, "fast", keep_state=True)
+            assert got["state"] == want, f"n={n} z={z}"
+            assert to_records(got["state"]) == to_records(want)
+            assert got["divisors"] == sorted(read_divisors(fl, want))
+            assert got["terms_before"] == 4**n
+            assert got["terms_after"] == len(want)
+
+    def test_cap_checked_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match=r"width 13 exceeds the configured cap 12"):
+                factor_pipeline(1, 13)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
