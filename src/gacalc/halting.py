@@ -10,6 +10,22 @@ next step's inputs; projecting further onto one machine and input and then
 onto "some state slot is a halt state" decides whether that machine halts
 WITHIN the configured number of steps.
 
+Slot layout invariant: slots are contiguous and ascending in index, and step
+i's quadruple has widths (w_x, w_s, w_x, w_s).  So each (memory, state) block
+is h = w_x + w_s bits wide, step i's output block lies exactly h bits below
+step i+1's input block with the same widths in the same order, and every
+step's output block lies above all earlier steps' slots.  The projections
+are therefore one mask test per term: consistency is
+``(m & OUT) << h == m & (OUT << h)``, with OUT the output blocks of steps
+0..K-2, and the instance projection is ``m & SEL == WANT`` over slots 0-2.
+
+Chain sign: the chained construction multiplies each step's output pair
+ext_i onto the chain from the left, ext_{K-1} ... ext_0 base, where base is
+the machine code OR all inputs.  Every factor of ext_i lies above every
+factor of ext_<i, so the sign is
+``reorder_sign(E, base) * (-1)^(sum_i |ext_i| * |ext_<i|)`` with E the OR of
+all ext_i: one sign scan per chain instead of one per step.
+
 Everything here is finite by construction: K steps, B tape cells, and
 explicitly enumerated machine/configuration/state sets.  The probe answers
 "halts within K steps" and nothing stronger; the unbounded halting problem
@@ -29,7 +45,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .core import Multivector, ResourceCapError, _accumulate, blade_mul
+from .core import Multivector, ResourceCapError, _accumulate, blade_mul, reorder_sign
 from .encoding import SubspaceLayout
 
 MOVES = ("L", "R")
@@ -393,20 +409,25 @@ def apply_all_steps(state: Multivector, params: TruncationParams) -> Multivector
     return state
 
 
+def _links(params: TruncationParams) -> tuple[int, int]:
+    """``(h, out)``: the block distance and the output blocks of steps 0..K-2.
+
+    Step i's output block (slots 4i+3, 4i+4) is ``h`` bits below step i+1's
+    input block (slots 4i+5, 4i+6), so ``out << h`` covers the input blocks
+    of steps 1..K-1; ``out`` is 0 when K = 1.
+    """
+    slots = params.slots
+    out = 0
+    for i in range(params.steps - 1):
+        out |= slots[4 * i + 3].mask | slots[4 * i + 4].mask
+    return slots[3].offset - slots[1].offset, out
+
+
 def consistency_project(state: Multivector, params: TruncationParams) -> Multivector:
     """Keep terms where each step's outputs equal the next step's inputs."""
-    slots = params.slots
-    # Slot k (step output) must equal slot k + 2 (the next step's input).
-    links = [
-        (slots[k], slots[k + 2])
-        for i in range(params.steps - 1)
-        for k in (4 * i + 3, 4 * i + 4)
-    ]
-
-    def chained(mask: int) -> bool:
-        return all(out.decode(mask) == nxt.decode(mask) for out, nxt in links)
-
-    return state.project(chained)
+    h, out = _links(params)
+    nxt = out << h
+    return state.project(lambda mask: (mask & out) << h == mask & nxt)
 
 
 def instance_project(
@@ -418,12 +439,12 @@ def instance_project(
     if input_code not in params._config_set:
         raise ValueError(f"input config code {input_code} outside the enumerated set")
     machine, x0, s0 = params.slots[:3]
-    want = (spec.code, input_code, spec.start)
-
-    def selected(mask: int) -> bool:
-        return (machine.decode(mask), x0.decode(mask), s0.decode(mask)) == want
-
-    return state.project(selected)
+    select = machine.mask | x0.mask | s0.mask
+    # Unchecked shifts: the code and input fit by the checks above, and a
+    # start state too wide for slot 2 spills outside ``select``, so no term
+    # matches, as no slot-2 value would equal it.
+    want = spec.code << machine.offset | input_code << x0.offset | spec.start << s0.offset
+    return state.project(lambda mask: mask & select == want)
 
 
 def halt_project(state: Multivector, params: TruncationParams) -> Multivector:
@@ -462,26 +483,36 @@ def build_chained_superposition(
         raise ResourceCapError(
             f"chained superposition needs {len(starts)} chains, cap is {params.term_cap}"
         )
-    slots = params.slots
+    h, links = _links(params)
+    machine, x_in, s_in, x_out = params.slots[:4]
+    w_x = x_out.width
+    out_offsets = [params.slots[4 * i + 3].offset for i in range(params.steps)]
+    step_codes = params.step_codes
+    configs, states = params._config_set, params._state_set
     last = params.steps - 1
 
     def chains():
         for m_code, x, s in starts:
-            mask = 0
-            extensions = []
-            for i in range(params.steps):
-                mask |= slots[4 * i + 1].encode(x) | slots[4 * i + 2].encode(s)
-                x, s = params.step_codes(m_code, x, s)
-                extensions.append(slots[4 * i + 3].encode(x) | slots[4 * i + 4].encode(s))
-                if i < last and (x not in params._config_set or s not in params._state_set):
+            inputs = x_in.encode(x) | s_in.encode(s)
+            ext = parity = seen = 0
+            for i, offset in enumerate(out_offsets):
+                x, s = step_codes(m_code, x, s)
+                # No range check needed: TruncationParams sized w_x for every
+                # tape/head code and w_s for every machine state and reject
+                # code, so a step's outputs fit slots 4i+3 and 4i+4.
+                block = (x | s << w_x) << offset
+                n = block.bit_count()
+                parity += n * seen
+                seen += n
+                ext |= block
+                if i < last and (x not in configs or s not in states):
                     break
             else:
-                mask |= slots[0].encode(m_code)
-                coeff = 1
-                for extension in extensions:
-                    mask, sign = blade_mul(extension, mask)
-                    coeff *= sign
-                yield mask, coeff
+                # Steps 1..K-1 read the previous step's outputs: ext's output
+                # blocks of steps 0..K-2, moved up one block.
+                base = machine.encode(m_code) | inputs | (ext & links) << h
+                sign = reorder_sign(ext, base)
+                yield base | ext, -sign if parity & 1 else sign
 
     return Multivector._wrap(params.dimension, _accumulate(chains()))
 

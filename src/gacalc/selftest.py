@@ -237,11 +237,22 @@ def _check_halting() -> list[PropertyResult]:
     params = halting.TruncationParams(
         machines, steps=2, cells=1, state_codes=[0, 1], term_cap=100_000
     )
-    free = halting.consistency_project(
-        halting.apply_all_steps(halting.build_free_superposition(params), params), params
-    )
+    stepped = halting.apply_all_steps(halting.build_free_superposition(params), params)
+    free = halting.consistency_project(stepped, params)
     ok = free == halting.build_chained_superposition(params)
     out.append(PropertyResult("halting-probe", "chained-equals-free-construction", ok))
+
+    # The mask test against the slot-by-slot definition: each step output
+    # slot k decodes to the same value as the next step's input slot k + 2.
+    slots = params.slots
+    links = [
+        (slots[k], slots[k + 2])
+        for i in range(params.steps - 1)
+        for k in (4 * i + 3, 4 * i + 4)
+    ]
+    by_decode = stepped.project(lambda m: all(a.decode(m) == b.decode(m) for a, b in links))
+    ok = free == by_decode and 0 < len(free) < len(stepped)
+    out.append(PropertyResult("halting-probe", "consistency-mask-matches-decode", ok))
     return out
 
 

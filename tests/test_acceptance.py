@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, exact equalities, timed budgets.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.  Expected values come from independent oracles computed here:
-bubble-sort parity, brute-force filtering, plain/bitsliced boolean circuit
-evaluation, host-integer multiplication, trial division and direct machine
-simulation.
+criterion.  Expected values come from independent oracles, computed here or
+shared from ``conftest.py``: bubble-sort parity, brute-force filtering,
+plain/bitsliced boolean circuit evaluation, host-integer multiplication,
+trial division and direct machine simulation.
 """
 import json
 import random
@@ -38,6 +38,8 @@ from gacalc.halting import (
 )
 from gacalc.search import MembershipOracle, SearchLayout, apply_oracle, build_initial_state, run_search
 
+from conftest import boolean_eval, bubble_sign
+
 REPO_ROOT = Path(__file__).parent.parent
 
 
@@ -45,20 +47,6 @@ def report(criterion: int, name: str, started: float, budget: float) -> None:
     elapsed = time.perf_counter() - started
     assert elapsed < budget, f"criterion {criterion} took {elapsed:.1f}s (budget {budget}s)"
     print(f"[acceptance] criterion {criterion} ({name}): PASS in {elapsed:.1f}s")
-
-
-def bubble_sign(a: int, b: int) -> int:
-    seq = [i for i in range(a.bit_length()) if a >> i & 1]
-    seq += [i for i in range(b.bit_length()) if b >> i & 1]
-    swaps, changed = 0, True
-    while changed:
-        changed = False
-        for i in range(len(seq) - 1):
-            if seq[i] > seq[i + 1]:
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                swaps += 1
-                changed = True
-    return -1 if swaps % 2 else 1
 
 
 def test_criterion_1_algebra_soundness():
@@ -126,16 +114,6 @@ def test_criterion_2_search_correctness():
         assert apply_oracle(oracle, pattern, sl) == expect
 
     report(2, "search correctness", started, budget=30)
-
-
-def boolean_eval(netlist, values):
-    bits = {}
-    for group, value in zip(netlist.input_groups, values):
-        for k, place in enumerate(group):
-            bits[place] = value >> k & 1
-    for g in netlist.gates:
-        bits[g.r] = 1 - (bits[g.p] & bits[g.q])
-    return bits
 
 
 def test_criterion_3_nand_embedding():

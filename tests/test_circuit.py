@@ -28,18 +28,9 @@ from gacalc.circuit import (
 )
 from gacalc.core import Multivector
 
+from conftest import boolean_eval
+
 NETLISTS = Path(__file__).parent.parent / "src" / "gacalc" / "netlists"
-
-
-def boolean_eval(netlist: Netlist, values) -> dict[int, int]:
-    """Oracle: plain dict-based boolean evaluation, no blades anywhere."""
-    bits: dict[int, int] = {}
-    for group, value in zip(netlist.input_groups, values):
-        for k, place in enumerate(group):
-            bits[place] = value >> k & 1
-    for g in netlist.gates:
-        bits[g.r] = 1 - (bits.get(g.p, 0) & bits.get(g.q, 0))
-    return bits
 
 
 def mask_of(bits: dict[int, int]) -> int:

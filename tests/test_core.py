@@ -18,25 +18,7 @@ from gacalc.core import (
 from gacalc.circuit import linear_extend
 from gacalc.search import SearchLayout, build_initial_state
 
-
-def bubble_sign(a: int, b: int) -> int:
-    """Oracle: parity of bubble-sorting the concatenated index sequences.
-
-    Equal indices end up adjacent without swapping and contract to +1, so the
-    swap count is exactly the number of anticommuting transpositions.
-    """
-    seq = [i for i in range(a.bit_length()) if a >> i & 1]
-    seq += [i for i in range(b.bit_length()) if b >> i & 1]
-    swaps = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(seq) - 1):
-            if seq[i] > seq[i + 1]:
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                swaps += 1
-                changed = True
-    return -1 if swaps % 2 else 1
+from conftest import bubble_sign
 
 
 def brute_product(a: Multivector, b: Multivector) -> Multivector:

@@ -5,8 +5,8 @@ import tracemalloc
 
 import pytest
 
-from gacalc.core import Multivector, ResourceCapError, to_records
-from gacalc.encoding import encode
+from gacalc.core import Multivector, ResourceCapError, blade_mul, to_records
+from gacalc.encoding import EncodingRangeError, encode
 from gacalc.halting import (
     Config,
     MachineFormatError,
@@ -37,6 +37,64 @@ CORPUS = {m.name: m for m in bundled_machines()}
 
 def blank(cells: int, head: int = 0) -> Config:
     return Config(0, head, cells)
+
+
+# --- references: slot-by-slot definitions that the mask-level code must equal --
+
+
+def stepwise_chains(params: TruncationParams, starts=None) -> Multivector:
+    """Reference chain build: range-checked ``encode`` per slot, one ``blade_mul`` per step."""
+    if starts is None:
+        starts = [
+            (m.code, x, s)
+            for m in params.machines
+            for x in params.config_codes
+            for s in params.state_codes
+        ]
+    configs, states = set(params.config_codes), set(params.state_codes)
+    slots = params.slots
+    last = params.steps - 1
+    acc: dict[int, int] = {}
+    for m_code, x, s in starts:
+        mask = 0
+        extensions = []
+        for i in range(params.steps):
+            mask |= slots[4 * i + 1].encode(x) | slots[4 * i + 2].encode(s)
+            x, s = params.step_codes(m_code, x, s)
+            extensions.append(slots[4 * i + 3].encode(x) | slots[4 * i + 4].encode(s))
+            if i < last and (x not in configs or s not in states):
+                break
+        else:
+            mask |= slots[0].encode(m_code)
+            coeff = 1
+            for extension in extensions:
+                mask, sign = blade_mul(extension, mask)
+                coeff *= sign
+            acc[mask] = acc.get(mask, 0) + coeff
+    return Multivector(params.dimension, {m: c for m, c in acc.items() if c})
+
+
+def decode_consistency(state: Multivector, params: TruncationParams) -> Multivector:
+    """Reference: each step output slot k decodes equal to the next input slot k + 2."""
+    slots = params.slots
+    links = [
+        (slots[k], slots[k + 2])
+        for i in range(params.steps - 1)
+        for k in (4 * i + 3, 4 * i + 4)
+    ]
+    return state.project(lambda m: all(a.decode(m) == b.decode(m) for a, b in links))
+
+
+def decode_instance(state: Multivector, spec: TMSpec, input_code: int, params) -> Multivector:
+    """Reference: slots 0, 1 and 2 decode to (machine code, input, start state)."""
+    machine, x0, s0 = params.slots[:3]
+    want = (spec.code, input_code, spec.start)
+    return state.project(lambda m: (machine.decode(m), x0.decode(m), s0.decode(m)) == want)
+
+
+def assert_same_terms(got: Multivector, want: Multivector) -> None:
+    assert got.dimension == want.dimension
+    assert dict(got.terms) == dict(want.terms)  # masks and signs
 
 
 class TestMachineCoding:
@@ -387,10 +445,10 @@ class TestConstructionEquivalence:
     def test_chained_equals_free_plus_consistency(self, names, steps, cells):
         machines = [CORPUS[n] for n in names]
         params = TruncationParams(machines, steps=steps, cells=cells, state_codes=[0, 1])
-        free = consistency_project(
-            apply_all_steps(build_free_superposition(params), params), params
-        )
-        assert free == build_chained_superposition(params)
+        stepped = apply_all_steps(build_free_superposition(params), params)
+        chain = build_chained_superposition(params)
+        assert chain == decode_consistency(stepped, params)
+        assert chain == consistency_project(stepped, params)
 
     def test_restricted_config_set_drops_escaping_chains(self):
         # configs restricted so some step outputs leave the set: both routes
@@ -399,10 +457,10 @@ class TestConstructionEquivalence:
         params = TruncationParams(
             [spec], steps=2, cells=2, config_codes=[0, 1, 4, 5], state_codes=[0, 1]
         )
-        free = consistency_project(
-            apply_all_steps(build_free_superposition(params), params), params
-        )
-        assert free == build_chained_superposition(params)
+        stepped = apply_all_steps(build_free_superposition(params), params)
+        chain = build_chained_superposition(params)
+        assert chain == decode_consistency(stepped, params)
+        assert chain == consistency_project(stepped, params)
 
     def test_probe_equals_free_route_boolean(self):
         for name in ("bb1", "loop-pingpong", "runner-right"):
@@ -423,6 +481,107 @@ class TestConstructionEquivalence:
                     params,
                 )
                 assert bounded_halt_probe(spec, config, 2, params) == (not free.is_zero())
+
+
+class TestChainBuild:
+    """The one-sign-scan chain build against the stepwise reference."""
+
+    @pytest.mark.parametrize("cells", range(1, 7))
+    @pytest.mark.parametrize("steps", range(1, 9))
+    def test_equals_stepwise_build(self, steps, cells):
+        params = TruncationParams(list(CORPUS.values()), steps, cells)
+        chain = build_chained_superposition(params)
+        assert len(chain) <= params.term_cap
+        assert_same_terms(chain, stepwise_chains(params))
+        if cells > 1:  # with one cell every chain sign is +1 at even K
+            assert set(chain.terms.values()) == {1, -1}
+
+    @pytest.mark.parametrize(
+        "config_codes,state_codes",
+        [([0, 1, 4, 5], [0, 1]), ([0, 3, 5, 6, 9], [1, 2]), (None, [0, 2])],
+    )
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_restricted_sets(self, steps, config_codes, state_codes):
+        params = TruncationParams(
+            list(CORPUS.values()),
+            steps,
+            2,
+            config_codes=config_codes,
+            state_codes=state_codes,
+        )
+        assert_same_terms(build_chained_superposition(params), stepwise_chains(params))
+
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    def test_explicit_starts(self, steps):
+        bb2 = CORPUS["bb2"]
+        params = TruncationParams(
+            [bb2, CORPUS["bb1"]],
+            steps,
+            2,
+            config_codes=[0, 1, 4, 5],
+            state_codes=[0, 1],
+            reject_code=1,
+        )
+        unknown = next(c for c in range(1 << 8) if c not in params.machine_by_code)
+        dies = (bb2.code, 4, 1)  # reads 0 in state 1 at the right edge: runs off
+        x1, s1 = params.step_codes(*dies)
+        assert x1 not in params.config_codes or s1 not in params.state_codes
+        starts = [
+            (unknown, 0, 0),
+            (bb2.code, 2, 0),  # x outside the config set
+            (bb2.code, 0, 2),  # s outside the state set, inside its slot
+            (bb2.code, 0, bb2.start),
+            (bb2.code, 0, bb2.start),  # a repeated start doubles its chain
+            dies,
+        ]
+        for start in starts:
+            want = stepwise_chains(params, [start])
+            assert_same_terms(build_chained_superposition(params, [start]), want)
+        assert build_chained_superposition(params, [dies]).is_zero() == (steps > 1)
+        assert_same_terms(
+            build_chained_superposition(params, starts), stepwise_chains(params, starts)
+        )
+
+    @pytest.mark.parametrize("slot", [1, 2])
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_start_too_wide_for_its_slot(self, steps, slot):
+        # A memory code too wide for slot 1 is outside the config set too, so
+        # at K = 2 its chain dies at step 0; the start is still range-checked.
+        spec = CORPUS["bb1"]
+        params = TruncationParams([spec], steps, 2)
+        start = [spec.code, 0, 0]
+        start[slot] = 1 << params.slots[slot].width
+        starts = [tuple(start)]
+        for build in (build_chained_superposition, stepwise_chains):
+            with pytest.raises(EncodingRangeError):
+                build(params, starts)
+
+
+class TestProjectionReferences:
+    """Mask-level projections against their slot-by-slot definitions."""
+
+    @pytest.mark.parametrize("steps,cells", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+    def test_on_stepped_free_superposition(self, steps, cells):
+        machines = [CORPUS[n] for n in ("bb1", "bb2", "runner-right")]
+        params = TruncationParams(machines, steps, cells, state_codes=[0, 1, 2])
+        stepped = apply_all_steps(build_free_superposition(params), params)
+        rng = random.Random(steps * 10 + cells)
+        weighted = Multivector(
+            params.dimension, {m: rng.choice((-2, -1, 1, 3)) for m in stepped.masks()}
+        )
+        for state in (stepped, weighted):
+            kept = consistency_project(state, params)
+            assert_same_terms(kept, decode_consistency(state, params))
+            if steps == 1:
+                assert kept == state
+            else:
+                assert 0 < len(kept) < len(state)
+            for spec in machines:
+                for x in params.config_codes:
+                    assert_same_terms(
+                        instance_project(state, spec, x, params),
+                        decode_instance(state, spec, x, params),
+                    )
 
 
 class TestBoundedProbe:
