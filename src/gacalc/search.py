@@ -9,22 +9,30 @@ and the answer is read straight off the surviving data blades.
 Toggling the flag dimension is sign-free because it is the highest index in
 the layout: appending or removing the final factor of an ascending blade
 crosses no other factors.
+
+The oracle O is therefore a permutation of blades and an involution: it
+swaps ``lo`` and ``lo | flag`` when ``lo`` codes a marked x and fixes both
+otherwise.  With s[m] the state's coefficient on blade m, the filter
+(s - O(s)) / 2 is 0 on an unmarked pair and, on a marked pair, ``d/2`` on
+``lo`` and ``-d/2`` on ``lo | flag`` with ``d = s[lo] - s[lo | flag]``.
+``half_difference_filter`` computes exactly that, one pair at a time,
+without building O(s) or the difference.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .core import Multivector
-from .encoding import SubspaceLayout, decode
+from .core import Coefficient, Multivector
+from .encoding import SubspaceLayout
 
 
 class MembershipOracle:
     """Black-box 0/1 predicate with audit counters.
 
     ``op_count`` increments once per whole-operator application;
-    ``eval_count`` counts pointwise predicate evaluations, memoized per
-    operator application so each distinct argument is paid for at most once.
+    ``eval_count`` counts pointwise predicate evaluations; within one
+    operator application each distinct argument is paid for at most once.
     """
 
     def __init__(self, f: Callable[[int], int]):
@@ -53,15 +61,23 @@ class SearchLayout:
 
 
 def build_initial_state(elements: Iterable[int], sl: SearchLayout) -> Multivector:
-    """Superpose ``coded(x) * (1 - e_flag)`` over every database element x."""
+    """Superpose ``coded(x) * (1 - e_flag)`` over every database element x.
+
+    The range is checked once, on the smallest and largest value; every value
+    in between then fits, and is coded as ``x << offset`` directly.
+    """
+    values = set(elements)
+    data = sl.layout["data"]
+    if values:
+        data.encode(min(values))
+        data.encode(max(values))
+    offset, flag = data.offset, 1 << sl.oracle_dim
     terms: dict[int, int] = {}
-    flag = 1 << sl.oracle_dim
-    encode = sl.layout["data"].encode
-    for x in set(elements):
-        mask = encode(x)
+    for x in values:
+        mask = x << offset
         terms[mask] = 1
         terms[mask | flag] = -1
-    return Multivector._wrap(sl.dimension, terms)
+    return Multivector._raw(sl.dimension, terms)
 
 
 def apply_oracle(oracle: MembershipOracle, state: Multivector, sl: SearchLayout) -> Multivector:
@@ -69,31 +85,64 @@ def apply_oracle(oracle: MembershipOracle, state: Multivector, sl: SearchLayout)
 
     Per term, the data value x is decoded and the flag dimension's membership
     is flipped iff f(x) = 1; coefficients are untouched.  Pointwise f calls
-    are memoized for the duration of this application.
+    are memoized for the duration of this application.  The toggle is an
+    involution, so no two terms share an image: the result is a relabelled
+    copy of the terms, with nothing to merge or cancel.
     """
     if state.dimension != sl.dimension:
         raise ValueError("state does not live in this search layout")
     oracle.op_count += 1
     memo: dict[int, int] = {}
     flag = 1 << sl.oracle_dim
-    data = sl.layout["data"]
+    decode = sl.layout["data"].decode
 
-    def toggle(mask: int) -> tuple[int, int]:
-        x = data.decode(mask)
+    def marked(mask: int) -> int:
+        x = decode(mask)
         fx = memo.get(x)
         if fx is None:
             fx = memo[x] = oracle.evaluate(x)
-        return (mask ^ flag if fx else mask), 1
+        return fx
 
-    return state.map_blades(toggle)
+    return Multivector._raw(
+        state.dimension,
+        {(m ^ flag if marked(m) else m): c for m, c in state.terms.items()},
+    )
 
 
 def half_difference_filter(oracle: MembershipOracle, state: Multivector, sl: SearchLayout) -> Multivector:
     """The projector (state - oracle(state)) / 2; one oracle-operator application.
 
-    On database states it keeps exactly the marked elements' term patterns.
+    Computed pairwise, without the oracle's image: blades ``lo`` and
+    ``lo | flag`` share the data value x.  If f(x) = 0 both terms cancel; if
+    f(x) = 1 the pair becomes ``lo -> d/2`` and ``lo | flag -> -d/2`` with
+    ``d = s[lo] - s[lo | flag]`` (a missing partner counts as 0).  f is
+    evaluated once per pair, so once per distinct data value.  On database
+    states it keeps exactly the marked elements' term patterns.
     """
-    return (state - apply_oracle(oracle, state, sl)).scale(Fraction(1, 2))
+    if state.dimension != sl.dimension:
+        raise ValueError("state does not live in this search layout")
+    oracle.op_count += 1
+    flag = 1 << sl.oracle_dim
+    decode, evaluate = sl.layout["data"].decode, oracle.evaluate
+    terms = state.terms
+    get = terms.get
+    kept: dict[int, Coefficient] = {}
+    for m, c in terms.items():
+        if m & flag:
+            lo = m ^ flag
+            if lo in terms or not evaluate(decode(lo)):
+                continue  # a full pair is taken at its flag-clear blade
+            d = -c
+        elif evaluate(decode(m)):
+            lo = m
+            d = c - get(m | flag, 0)
+        else:
+            continue
+        if d:
+            half = d >> 1 if type(d) is int and not d & 1 else Fraction(d, 2)
+            kept[lo] = half
+            kept[lo | flag] = -half
+    return Multivector._raw(state.dimension, kept)
 
 
 def filter_marked(oracle: MembershipOracle, elements: Iterable[int], sl: SearchLayout) -> Multivector:
@@ -103,7 +152,8 @@ def filter_marked(oracle: MembershipOracle, elements: Iterable[int], sl: SearchL
 
 def extract_matches(state: Multivector, sl: SearchLayout) -> set[int]:
     """Read the data subspace of every term, deduplicated."""
-    return {decode(mask, "data", sl.layout) for mask in state.masks()}
+    decode = sl.layout["data"].decode
+    return {decode(mask) for mask in state.masks()}
 
 
 def run_search(elements: Iterable[int], f: Callable[[int], int], n: int) -> tuple[set[int], MembershipOracle]:

@@ -152,6 +152,24 @@ def _check_oracle_search() -> list[PropertyResult]:
             if search.apply_oracle(oracle, state, sl) != expect:
                 ok = False
     out.append(PropertyResult("oracle-search", "eigenvalue-identity", ok))
+
+    ok = True
+    flag = 1 << sl.oracle_dim
+    for _ in range(40):
+        state = core.Multivector(
+            sl.dimension,
+            {rng.randrange(1 << sl.dimension): rng.randint(-3, 3) for _ in range(12)},
+        )
+        marked = set(rng.sample(range(64), rng.randint(0, 40)))
+        oracle = search.MembershipOracle(marked.__contains__)
+        image = search.apply_oracle(search.MembershipOracle(marked.__contains__), state, sl)
+        got = search.half_difference_filter(oracle, state, sl)
+        want = (state - image).scale(Fraction(1, 2))
+        if got != want or core.to_records(got) != core.to_records(want):
+            ok = False
+        if oracle.eval_count != len({m & ~flag for m in state.masks()}):
+            ok = False
+    out.append(PropertyResult("oracle-search", "filter-matches-operator-difference", ok))
     return out
 
 

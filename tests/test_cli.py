@@ -40,6 +40,29 @@ class TestSearch:
         assert code == 0
         assert report["result"]["matches"] == [2, 7, 12]
 
+    @pytest.mark.parametrize(
+        "argv, counters, matches",
+        [
+            (
+                ["--n", "7", "--set", "0..40,77,100..127", "--mod", "7:3"],
+                (140, 20, 1, 70),
+                [3, 10, 17, 24, 31, 38, 101, 108, 115, 122],
+            ),
+            (
+                ["--n", "5", "--set", "1,4..9,30", "--marked", "4,5,30,31"],
+                (16, 6, 1, 8),
+                [4, 5, 30],
+            ),
+        ],
+    )
+    def test_counters_pinned(self, capsys, argv, counters, matches):
+        # Figures of the filter that built the oracle image in full.
+        code, report, _ = run_json(capsys, "search", *argv)
+        assert code == 0
+        names = ("terms_before", "terms_after", "oracle_op_count", "oracle_eval_count")
+        assert report["counters"] == dict(zip(names, counters))
+        assert report["result"]["matches"] == matches
+
     def test_malformed_predicate(self, capsys):
         code, _, err = run(capsys, "search", "--n", "4", "--set", "0..15", "--marked", "2;9")
         assert code == 2

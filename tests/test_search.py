@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gacalc.core import Multivector, to_records
-from gacalc.encoding import encode
+from gacalc.encoding import EncodingRangeError, encode
 from gacalc.search import (
     MembershipOracle,
     SearchLayout,
@@ -28,6 +30,61 @@ def literal_state(elements, sl):
     return Multivector(sl.dimension, terms)
 
 
+def toggle_oracle(oracle, state, sl):
+    """Reference oracle operator: the flag toggle as a signed blade map."""
+    if state.dimension != sl.dimension:
+        raise ValueError("state does not live in this search layout")
+    oracle.op_count += 1
+    memo = {}
+    flag = 1 << sl.oracle_dim
+    data = sl.layout["data"]
+
+    def toggle(mask):
+        x = data.decode(mask)
+        if x not in memo:
+            memo[x] = oracle.evaluate(x)
+        return (mask ^ flag if memo[x] else mask), 1
+
+    return state.map_blades(toggle)
+
+
+def reference_filter(oracle, state, sl):
+    """Reference projector: build the oracle image, subtract, halve."""
+    return (state - toggle_oracle(oracle, state, sl)).scale(Fraction(1, 2))
+
+
+def data_values(state, sl):
+    return {mask & ~(1 << sl.oracle_dim) for mask in state.masks()}
+
+
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+).filter(bool)
+
+
+@st.composite
+def flag_pair_states(draw):
+    """Arbitrary states over data + flag, built pair by pair.
+
+    Each data value gets a full pair, an equal pair (d = 0), a lone
+    flag-clear term or a lone flag-set term.
+    """
+    n = draw(st.integers(1, 6))
+    sl = SearchLayout(n)
+    flag = 1 << sl.oracle_dim
+    terms = {}
+    for lo in draw(st.sets(st.integers(0, (1 << n) - 1), max_size=12)):
+        kind = draw(st.sampled_from(["pair", "equal", "clear", "set"]))
+        c = draw(coefficients)
+        if kind != "set":
+            terms[lo] = c
+        if kind != "clear":
+            terms[lo | flag] = c if kind == "equal" else draw(coefficients)
+    marked = draw(st.sets(st.integers(0, (1 << n) - 1)))
+    return sl, Multivector(sl.dimension, terms), marked
+
+
 class TestInitialState:
     def test_empty(self):
         sl = SearchLayout(3)
@@ -46,8 +103,22 @@ class TestInitialState:
 
     def test_out_of_range(self):
         sl = SearchLayout(2)
-        with pytest.raises(Exception):
+        with pytest.raises(EncodingRangeError, match="value 4 does not fit"):
             build_initial_state({4}, sl)
+
+    def test_negative_value(self):
+        sl = SearchLayout(4)
+        with pytest.raises(EncodingRangeError, match="value -1 does not fit"):
+            build_initial_state({3, -1, 7}, sl)
+
+    def test_too_wide_among_fitting_values(self):
+        sl = SearchLayout(4)
+        with pytest.raises(EncodingRangeError, match="value 16 does not fit"):
+            build_initial_state([0, 15, 16, 9], sl)
+
+    def test_full_range_fits(self):
+        sl = SearchLayout(4)
+        assert build_initial_state(range(16), sl) == literal_state(range(16), sl)
 
 
 class TestApplyOracle:
@@ -90,6 +161,27 @@ class TestApplyOracle:
         apply_oracle(oracle, state, sl)
         assert oracle.op_count == 2
 
+    def test_matches_toggle_reference(self):
+        rng = random.Random(8)
+        sl = SearchLayout(6)
+        for _ in range(100):
+            marked = set(rng.sample(range(64), rng.randint(0, 40)))
+            state = Multivector(
+                sl.dimension,
+                {rng.randrange(1 << sl.dimension): rng.randint(-3, 3) for _ in range(20)},
+            )
+            got_oracle = MembershipOracle(marked.__contains__)
+            want_oracle = MembershipOracle(marked.__contains__)
+            got = apply_oracle(got_oracle, state, sl)
+            assert got == toggle_oracle(want_oracle, state, sl)
+            assert got_oracle.op_count == want_oracle.op_count == 1
+            assert got_oracle.eval_count == want_oracle.eval_count == len(data_values(state, sl))
+
+    def test_wrong_dimension(self):
+        sl = SearchLayout(4)
+        with pytest.raises(ValueError, match="search layout"):
+            apply_oracle(MembershipOracle(lambda x: 1), Multivector.zero(4), sl)
+
 
 class TestFilterMarked:
     def test_single_match(self):
@@ -115,6 +207,58 @@ class TestFilterMarked:
         oracle = MembershipOracle(lambda x: x % 3 == 0)
         once = half_difference_filter(oracle, state, sl)
         assert half_difference_filter(oracle, once, sl) == once
+
+
+class TestFusedFilter:
+    """The one-pass filter against (state - O(state)) / 2 built in full."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(flag_pair_states())
+    def test_matches_reference(self, case):
+        sl, state, marked = case
+        oracle = MembershipOracle(marked.__contains__)
+        got = half_difference_filter(oracle, state, sl)
+        want = reference_filter(MembershipOracle(marked.__contains__), state, sl)
+        assert got == want
+        assert to_records(got) == to_records(want)
+        assert oracle.op_count == 1
+        assert oracle.eval_count == len(data_values(state, sl))
+
+    def test_lone_flag_set_term(self):
+        sl = SearchLayout(3)
+        flag = 1 << sl.oracle_dim
+        state = Multivector(sl.dimension, {5 | flag: 3, 2 | flag: 1})
+        got = half_difference_filter(MembershipOracle(lambda x: x == 5), state, sl)
+        assert got == Multivector(sl.dimension, {5: Fraction(-3, 2), 5 | flag: Fraction(3, 2)})
+
+    def test_equal_pair_cancels_but_is_evaluated(self):
+        sl = SearchLayout(3)
+        flag = 1 << sl.oracle_dim
+        oracle = MembershipOracle(lambda x: 1)
+        state = Multivector(sl.dimension, {6: 2, 6 | flag: 2, 1: 4})
+        got = half_difference_filter(oracle, state, sl)
+        assert got == Multivector(sl.dimension, {1: 2, 1 | flag: -2})
+        assert oracle.eval_count == 2
+
+    def test_even_difference_stays_int(self):
+        sl = SearchLayout(4)
+        kept = filter_marked(MembershipOracle(lambda x: x % 2), range(16), sl)
+        assert kept and all(type(c) is int for c in kept.terms.values())
+        assert kept == reference_filter(MembershipOracle(lambda x: x % 2), literal_state(range(16), sl), sl)
+
+    def test_odd_difference_is_a_half(self):
+        sl = SearchLayout(2)
+        flag = 1 << sl.oracle_dim
+        state = Multivector(sl.dimension, {1: 2, 1 | flag: -1})
+        got = half_difference_filter(MembershipOracle(lambda x: 1), state, sl)
+        assert dict(got.terms) == {1: Fraction(3, 2), 1 | flag: Fraction(-3, 2)}
+
+    def test_wrong_dimension(self):
+        sl = SearchLayout(4)
+        oracle = MembershipOracle(lambda x: 1)
+        with pytest.raises(ValueError, match="search layout"):
+            half_difference_filter(oracle, Multivector.zero(6), sl)
+        assert oracle.op_count == 0
 
 
 class TestExtractMatches:
