@@ -8,6 +8,14 @@ coefficient is an ``int`` until a division makes it a ``Fraction``; the two
 compare and hash alike (``Fraction(2) == 2``), so the mix never shows in
 equality or in serialized records.
 
+The geometric product is fraction-free.  Each operand is scaled once to
+integer numerators over the lcm of its denominators, and the sign of a blade
+pair is ``e_ma e_mb = (-1)^popcount(q_a & mb) e_(ma ^ mb)``, where ``q_a``
+(bit j = parity of the bits of ``ma`` above j) is taken once per left blade.
+Its result type rule: if every coefficient of both operands is an ``int``,
+every result coefficient is an ``int``; otherwise every result coefficient
+is a ``Fraction`` in lowest terms, ``Fraction(k)`` included.
+
 The signature is fixed Euclidean (every e_i squares to +1).  Multivectors are
 immutable values: every operation returns a fresh instance, which makes them
 safe to share across threads.
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -28,20 +37,12 @@ class ResourceCapError(RuntimeError):
     """A construction would exceed its configured size cap."""
 
 
-def reorder_sign(a: int, b: int) -> int:
-    """Sign picked up when merging blade masks ``a`` and ``b`` into canonical order.
+def _suffix_parity(a: int) -> int:
+    """Mask whose bit j is the parity of the bits of ``a`` above j.
 
-    Writing e_A e_B in ascending order moves each factor of ``b`` left past
-    every factor of ``a`` with a larger index: one transposition of
-    anticommuting basis vectors per pair (i in a, j in b, i > j).  Shared
-    factors contract via e_i*e_i = +1 and add no sign in the Euclidean
-    signature.  Only the parity of that pair count matters, so it is taken
-    with a suffix-parity scan instead of a count per set bit of ``b``:
-    ``q = a >> 1`` then ``q ^= q >> s`` for s = 1, 2, 4, ... leaves bit j of
-    ``q`` equal to the parity of the bits of ``a`` above j (a parallel-prefix
-    XOR, so O(log width) big-int steps).  The parity of ``q & b`` is then the
-    sum over j in b of those parities, mod 2: the transposition count mod 2.
-    Returns +1 or -1.
+    ``q = a >> 1`` then ``q ^= q >> s`` for s = 1, 2, 4, ... below the width:
+    a parallel-prefix XOR, so O(log width) big-int steps.  The one sign
+    mechanism: :func:`reorder_sign` and the geometric product both read it.
     """
     q = a >> 1
     width = q.bit_length()
@@ -49,7 +50,22 @@ def reorder_sign(a: int, b: int) -> int:
     while s < width:
         q ^= q >> s
         s <<= 1
-    return -1 if (q & b).bit_count() & 1 else 1
+    return q
+
+
+def reorder_sign(a: int, b: int) -> int:
+    """Sign picked up when merging blade masks ``a`` and ``b`` into canonical order.
+
+    Writing e_A e_B in ascending order moves each factor of ``b`` left past
+    every factor of ``a`` with a larger index: one transposition of
+    anticommuting basis vectors per pair (i in a, j in b, i > j).  Shared
+    factors contract via e_i*e_i = +1 and add no sign in the Euclidean
+    signature.  Only the parity of that pair count matters: with
+    ``q = _suffix_parity(a)`` (bit j = parity of the bits of ``a`` above j),
+    the parity of ``q & b`` is the sum over j in b of those parities, mod 2,
+    which is the transposition count mod 2.  Returns +1 or -1.
+    """
+    return -1 if (_suffix_parity(a) & b).bit_count() & 1 else 1
 
 
 def blade_mul(a: int, b: int) -> tuple[int, int]:
@@ -76,6 +92,23 @@ def _accumulate(pairs: Iterable[tuple[int, Coefficient]]) -> dict[int, Coefficie
         else:
             del acc[mask]
     return acc
+
+
+def _numerators(terms: Mapping[int, Coefficient]) -> tuple[list[tuple[int, int]], int | None]:
+    """``(mask, integer numerator)`` pairs over the lcm of the denominators.
+
+    The lcm is ``None`` when every coefficient is an ``int`` (the numerators
+    are then the coefficients), else an ``int`` >= 1, so an all-``Fraction``
+    operand with integral values still reads as rational.
+    """
+    dens = {c.denominator for c in terms.values() if type(c) is not int}
+    if not dens:
+        return list(terms.items()), None
+    den = lcm(*dens)
+    return [
+        (m, c * den if type(c) is int else c.numerator * (den // c.denominator))
+        for m, c in terms.items()
+    ], den
 
 
 def _is_exact(value: object) -> bool:
@@ -224,15 +257,45 @@ class Multivector:
         return Multivector._raw(self._dim, {m: c * factor for m, c in self._terms.items()})
 
     def geometric_product(self, other: "Multivector") -> "Multivector":
-        """Bilinear extension of the blade product with anticommutation signs."""
+        """Bilinear extension of the blade product with anticommutation signs.
+
+        Fraction-free: each operand is scaled once to integer numerators over
+        the lcm of its denominators, ``a = A / da`` and ``b = B / db``.  The
+        suffix-parity mask ``q_a`` is taken once per left blade, so a pair
+        costs only ``e_ma e_mb = (-1)^popcount(q_a & mb) e_(ma ^ mb)`` and
+        one ``int`` product.  Sums are divided once per output term, with one
+        ``Fraction(n, da * db)`` per distinct numerator ``n``.  Both operands
+        all ``int``: every result coefficient is an ``int``.  Otherwise every
+        one is a ``Fraction`` in lowest terms.
+        """
+        if not isinstance(other, Multivector):
+            raise TypeError(
+                f"geometric product needs a Multivector, got {type(other).__name__}"
+            )
         self._check_dim(other)
-        products = (
-            (mask, ca * cb if sign > 0 else -(ca * cb))
-            for ma, ca in self._terms.items()
-            for mb, cb in other._terms.items()
-            for mask, sign in (blade_mul(ma, mb),)
-        )
-        return Multivector._raw(self._dim, _accumulate(products))
+        left, da = _numerators(self._terms)
+        right, db = _numerators(other._terms)
+        acc: dict[int, Coefficient] = {}
+        get = acc.get
+        for ma, ca in left:
+            q = _suffix_parity(ma)
+            for mb, cb in right:
+                m = ma ^ mb
+                if (q & mb).bit_count() & 1:
+                    acc[m] = get(m, 0) - ca * cb
+                else:
+                    acc[m] = get(m, 0) + ca * cb
+        for m in [m for m, n in acc.items() if not n]:
+            del acc[m]
+        if da is not None or db is not None:
+            den = (da or 1) * (db or 1)
+            memo: dict[int, Fraction] = {}
+            for m, n in acc.items():  # rebinds values only, so iteration holds
+                c = memo.get(n)
+                if c is None:
+                    c = memo[n] = Fraction(n, den)
+                acc[m] = c
+        return Multivector._raw(self._dim, acc)
 
     def map_blades(
         self, f: Callable[[int], tuple[int, int]], dimension: int | None = None
@@ -307,12 +370,8 @@ def to_records(mv: Multivector) -> list[dict[str, str]]:
     ascending.  The round trip through :func:`from_records` is bit-exact.
     """
     return [
-        {
-            "mask": format(mask, "x"),
-            "num": str(mv.terms[mask].numerator),
-            "den": str(mv.terms[mask].denominator),
-        }
-        for mask in sorted(mv.masks())
+        {"mask": format(mask, "x"), "num": str(c.numerator), "den": str(c.denominator)}
+        for mask, c in sorted(mv._terms.items())  # masks are distinct: values never compared
     ]
 
 

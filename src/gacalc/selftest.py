@@ -50,6 +50,8 @@ def _random_multivector(rng: random.Random, dim: int, n_terms: int) -> core.Mult
 
 def _check_blade_core() -> list[PropertyResult]:
     out = []
+    # Checked on both routes to the sign: the product's hoisted scan and
+    # blade_mul, which the pipelines use.
     dim = 6
     ok = True
     for i in range(dim):
@@ -60,6 +62,8 @@ def _check_blade_core() -> list[PropertyResult]:
             if i != j:
                 ej = core.Multivector.basis_vector(dim, j)
                 if ei * ej != -(ej * ei):
+                    ok = False
+                if core.blade_mul(1 << i, 1 << j)[1] != -core.blade_mul(1 << j, 1 << i)[1]:
                     ok = False
     out.append(PropertyResult("blade-core", "anticommutation", ok))
 
@@ -83,6 +87,34 @@ def _check_blade_core() -> list[PropertyResult]:
             if got != want or core.to_records(got) != core.to_records(want):
                 ok = False
     out.append(PropertyResult("blade-core", "int-fraction-agree", ok))
+
+    # The fraction-free product against one blade_mul per pair, summed as
+    # the coefficients come, on mixed int/Fraction operands; the last pair,
+    # 3(1 + e_k) * (1 - e_k)/2 = 0, cancels every sum.
+    rng = random.Random(14)
+    mixed = lambda: rng.choice((1, Fraction(1, rng.randint(1, 6)))) * rng.randint(-4, 4)
+    ok = True
+    for dim in (12, 40, 199):
+        operand = lambda: core.Multivector(
+            dim, {rng.getrandbits(dim): mixed() for _ in range(12)}
+        )
+        e_k = 1 << rng.randrange(dim)
+        pairs = [(operand(), operand()) for _ in range(4)]
+        pairs.append((
+            core.Multivector(dim, {0: 3, e_k: 3}),
+            core.Multivector(dim, {0: Fraction(1, 2), e_k: Fraction(-1, 2)}),
+        ))
+        for a, b in pairs:
+            acc = {}
+            for ma, ca in a.terms.items():
+                for mb, cb in b.terms.items():
+                    mask, sign = core.blade_mul(ma, mb)
+                    acc[mask] = acc.get(mask, 0) + sign * ca * cb
+            want = core.Multivector(dim, acc)
+            got = a * b
+            if got != want or core.to_records(got) != core.to_records(want):
+                ok = False
+    out.append(PropertyResult("blade-core", "product-matches-pairwise", ok))
 
     rng = random.Random(11)
     ok = True

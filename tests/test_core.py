@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from gacalc.core import (
     DimensionMismatch,
     Multivector,
+    _accumulate,
+    _numerators,
     blade_mul,
     from_records,
     grade,
@@ -29,6 +31,22 @@ def brute_product(a: Multivector, b: Multivector) -> Multivector:
             mask = ma ^ mb
             acc[mask] = acc.get(mask, Fraction(0)) + ca * cb * bubble_sign(ma, mb)
     return Multivector(a.dimension, acc)
+
+
+def pairwise_product(a: Multivector, b: Multivector) -> Multivector:
+    """Oracle: the product as it was before the fraction-free kernel.
+
+    One ``blade_mul`` per blade pair, summed by ``_accumulate`` in
+    ``Fraction``/``int`` arithmetic as the coefficients come.
+    """
+    a._check_dim(b)
+    products = (
+        (mask, ca * cb if sign > 0 else -(ca * cb))
+        for ma, ca in a.terms.items()
+        for mb, cb in b.terms.items()
+        for mask, sign in (blade_mul(ma, mb),)
+    )
+    return Multivector._raw(a.dimension, _accumulate(products))
 
 
 def e(dim: int, i: int) -> Multivector:
@@ -137,6 +155,8 @@ class TestGeometricProduct:
         dim = 4
         one = Multivector.scalar(dim, 1)
         assert (one + e(dim, 0)) * (one - e(dim, 0)) == Multivector.zero(dim)
+        half = Fraction(1, 2)
+        assert ((one + e(dim, 0)) * half) * (one - e(dim, 0)) == Multivector.zero(dim)
 
     def test_basis_product(self):
         assert e(4, 0) * e(4, 1) == Multivector.blade(4, 0b11)
@@ -161,6 +181,114 @@ class TestGeometricProduct:
             e(3, 0) * e(4, 0)
         with pytest.raises(DimensionMismatch):
             e(3, 0) + e(4, 0)
+
+    @pytest.mark.parametrize("other", [5, Fraction(1, 2), None], ids=repr)
+    def test_non_multivector_raises_type_error(self, other):
+        with pytest.raises(TypeError, match=type(other).__name__):
+            e(3, 0).geometric_product(other)
+
+
+def coefficient_types(mv: Multivector) -> set[type]:
+    return {type(c) for c in mv.terms.values()}
+
+
+class TestProductTypeRule:
+    """Both operands all ``int``: ``int`` results; otherwise ``Fraction`` results."""
+
+    def test_int_times_int_is_int(self):
+        a = Multivector(4, {0: 2, 0b1: -3})
+        b = Multivector(4, {0b1: 5, 0b110: 1})
+        got = a * b
+        assert got == pairwise_product(a, b)
+        assert coefficient_types(got) == {int}
+
+    def test_integral_fractions_stay_fractions(self):
+        two = Multivector.scalar(4, Fraction(2))
+        got = two * two
+        assert got == Multivector.scalar(4, 4)
+        assert type(got.coefficient(0)) is Fraction
+
+    def test_mixed_int_only_term_becomes_fraction(self):
+        # The scalar term is fed only by 2 * 3, an int x int product.
+        a = Multivector(4, {0: 2, 0b1: Fraction(1, 2)})
+        b = Multivector(4, {0: 3})
+        got = a * b
+        assert got.terms == {0: 6, 0b1: Fraction(3, 2)}
+        assert coefficient_types(got) == {Fraction}
+        assert type(pairwise_product(a, b).coefficient(0)) is int
+        assert to_records(got) == to_records(pairwise_product(a, b))
+
+    def test_fraction_results_in_lowest_terms(self):
+        a = Multivector(4, {0: Fraction(1, 6), 0b1: Fraction(3, 4)})
+        b = Multivector(4, {0: Fraction(3, 2), 0b1: Fraction(2, 3)})
+        got = a * b
+        assert got.terms == {0: Fraction(3, 4), 0b1: Fraction(89, 72)}
+        assert coefficient_types(got) == {Fraction}
+        assert [r["den"] for r in to_records(got)] == ["4", "72"]
+
+    def test_empty_operand(self):
+        a = Multivector(4, {0: Fraction(1, 2), 0b11: 3})
+        zero = Multivector.zero(4)
+        assert a * zero == zero * a == zero * zero == zero
+
+
+class TestNumerators:
+    def test_common_denominator_is_the_lcm(self):
+        terms = {0b1: Fraction(1, 2), 0b10: Fraction(-1, 4), 0b100: Fraction(5, 6), 0b1000: 3}
+        pairs, den = _numerators(terms)
+        assert den == 12
+        assert pairs == [(0b1, 6), (0b10, -3), (0b100, 10), (0b1000, 36)]
+
+    def test_all_int_has_no_denominator(self):
+        assert _numerators({0: 2, 0b1: -1}) == ([(0, 2), (0b1, -1)], None)
+        assert _numerators({}) == ([], None)
+
+    def test_integral_fractions_have_denominator_one(self):
+        assert _numerators({0: Fraction(2)}) == ([(0, 2)], 1)
+
+
+COEFFICIENTS = {
+    "int": st.integers(-9, 9),
+    "fraction": st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    "mixed": st.one_of(
+        st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    ),
+}
+
+
+@st.composite
+def product_operands(draw):
+    """Two operands of one width and coefficient kind; some empty, some cancelling."""
+    width = draw(st.sampled_from([8, 40, 199]))
+    coeff = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
+    masks = st.integers(0, (1 << width) - 1)
+    a, b = (
+        Multivector(width, draw(st.dictionaries(masks, coeff, max_size=8)))
+        for _ in range(2)
+    )
+    if draw(st.booleans()):
+        # c(1 + B) * d(1 - B) = cd(1 - B^2) = 0 for a blade with B^2 = +1;
+        # ``a`` may keep other terms, so the cancellation is partial.
+        blade = draw(masks)
+        k = blade.bit_count()
+        if k * (k - 1) // 2 % 2:  # B^2 = -1 at grade 2 or 3 mod 4: drop two factors
+            blade &= blade - 1
+            blade &= blade - 1
+        c, d = draw(coeff), draw(coeff)
+        a = a + Multivector(width, {0: c, blade: c})
+        b = Multivector(width, {0: d, blade: -d})
+    return a, b
+
+
+@settings(max_examples=400)
+@given(product_operands())
+def test_product_matches_pairwise(operands):
+    a, b = operands
+    got, want = a * b, pairwise_product(a, b)
+    assert got == want
+    assert to_records(got) == to_records(want)
+    all_int = coefficient_types(a) | coefficient_types(b) <= {int}
+    assert coefficient_types(got) <= ({int} if all_int else {Fraction})
 
 
 class TestCoefficientTypes:
