@@ -7,6 +7,16 @@ memory blade with e_r (when the result bit is 1); the accumulated reordering
 sign is tracked for algebraic cross-checks but never consulted by the bit
 semantics.
 
+:func:`run_netlist` runs the gates on one plain ``int`` and takes the sign
+once per run.  A run that writes r_1, ..., r_K (in gate order) onto the start
+blade M0 ends at e_{r_K} ... e_{r_1} M0.  Place r_k is empty until its write,
+so no factor contracts, and moving e_{r_k} into canonical position passes
+exactly the set bits below r_k: those of M0 and the earlier writes.  Summed
+over the writes the first counts give the parity of ``reorder_sign(W, M0)``
+(W the OR of the writes) and the second P = #{j < k : r_j < r_k}, so the
+sign is ``reorder_sign(W, M0) * (-1)^P``: one sign scan per run instead of
+one per gate.  The gate-by-gate :func:`nand_apply` stays as the reference.
+
 Because places are write-once, every temporary lands in a fresh ancilla
 place; netlists therefore grow monotonically and validate as a topological
 order over their gates.
@@ -16,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterable, Mapping
 
-from .core import Coefficient, Multivector, _accumulate, blade_mul
+from .core import Coefficient, Multivector, _accumulate, blade_mul, reorder_sign
 
 
 class TargetOccupiedError(RuntimeError):
@@ -100,6 +110,7 @@ class Netlist:
     output_groups: list[list[int]]
     _checked: bool = field(default=False, repr=False, compare=False)
     _targets: int = field(default=0, repr=False, compare=False)
+    _program: tuple[tuple[int, int, int], ...] = field(default=(), repr=False, compare=False)
 
     @property
     def inputs(self) -> list[int]:
@@ -142,6 +153,7 @@ class Netlist:
             known.add(g.r)
             targets |= 1 << g.r
         self._targets = targets
+        self._program = tuple((g.p, g.q, g.r) for g in self.gates)
         self._checked = True
 
     def ancilla_places(self) -> set[int]:
@@ -156,17 +168,31 @@ class Netlist:
 
 
 def run_netlist(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
-    """Apply every gate in order; the final bit pattern is the circuit value."""
+    """Apply every gate in order; the final bit pattern is the circuit value.
+
+    Equal to folding :func:`nand_apply` over the gates, sign included, with
+    the sign taken once from the formula in the module docstring.  No target
+    is set at the start, so ``mask ^ start`` is the OR of the writes so far,
+    and each write adds to P the earlier writes minus those above r, which
+    holds for writes in any place order.
+    """
     netlist.validate()
-    if memory.mask & netlist._targets:
+    start = memory.mask
+    if start & netlist._targets:
         for g in netlist.gates:
             if bit_read(memory, g.r):
                 raise TargetOccupiedError(
                     f"target place {g.r} is not empty in the initial memory"
                 )
-    for g in netlist.gates:
-        memory = nand_apply(g, memory)
-    return memory
+    mask = start
+    count = below = 0
+    for p, q, r in netlist._program:
+        if not mask >> p & mask >> q & 1:
+            below += count - ((mask ^ start) >> r).bit_count()
+            mask |= 1 << r
+            count += 1
+    sign = memory.sign * reorder_sign(mask ^ start, start)
+    return MemoryBlade(mask, -sign if below & 1 else sign)
 
 
 def run_netlist_planes(

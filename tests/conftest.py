@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gacalc.circuit import nand_apply
 from gacalc.core import Multivector
 
 
@@ -45,3 +46,10 @@ def boolean_eval(netlist, values) -> dict[int, int]:
     for g in netlist.gates:
         bits[g.r] = 1 - (bits.get(g.p, 0) & bits.get(g.q, 0))
     return bits
+
+
+def nand_fold(netlist, memory):
+    """Oracle for ``run_netlist``: ``nand_apply`` gate by gate, one sign per write."""
+    for g in netlist.gates:
+        memory = nand_apply(g, memory)
+    return memory

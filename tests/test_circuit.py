@@ -1,5 +1,6 @@
 """NAND memory semantics, netlist execution and the gate-level multiplier."""
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from gacalc.circuit import (
 )
 from gacalc.core import Multivector
 
-from conftest import boolean_eval
+from conftest import boolean_eval, nand_fold
 
 NETLISTS = Path(__file__).parent.parent / "src" / "gacalc" / "netlists"
 
@@ -192,6 +193,71 @@ class TestRunNetlist:
         last = nl.gates[-1].r
         with pytest.raises(TargetOccupiedError, match=f"place {last} is not empty"):
             run_netlist(nl, MemoryBlade(1 << last))
+
+
+def random_netlist(rng: random.Random, places: int = 40) -> Netlist:
+    """Gates writing fresh places in shuffled order, each reading known places."""
+    order = list(range(places))
+    rng.shuffle(order)
+    split = rng.randint(1, 4)
+    inputs = order[:split]
+    known = list(inputs)
+    gates = []
+    for r in order[split : split + rng.randint(0, 24)]:
+        gates.append(NandGate(rng.choice(known), rng.choice(known), r))
+        known.append(r)
+    return Netlist(gates, [inputs], [known[-1:]])
+
+
+class TestRunNetlistMatchesNandFold:
+    """``run_netlist`` takes one sign per run; the per-gate fold is its oracle."""
+
+    def test_random_netlists_with_unordered_writes(self):
+        rng = random.Random(12)
+        descending, signs = 0, set()
+        for _ in range(1500):
+            nl = random_netlist(rng)
+            written = [g.r for g in nl.gates]
+            descending += any(a > b for a, b in zip(written, written[1:]))
+            mem = MemoryBlade(mask_of({p: rng.randint(0, 1) for p in nl.inputs}))
+            out = run_netlist(nl, mem)
+            assert out == nand_fold(nl, mem)
+            signs.add(out.sign)
+        assert descending > 1000
+        assert signs == {1, -1}
+
+    def test_context_bits_and_negative_sign(self):
+        rng = random.Random(13)
+        for _ in range(500):
+            nl = random_netlist(rng)
+            context = rng.getrandbits(48) << 40  # places no gate reads or writes
+            inputs = mask_of({p: rng.randint(0, 1) for p in nl.inputs})
+            mem = MemoryBlade(context | inputs, -1)
+            out = run_netlist(nl, mem)
+            assert out == nand_fold(nl, mem)
+            assert out.mask >> 40 == context >> 40
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_multiplier_input(self, n):
+        nl = build_nand_multiplier(n)
+        for a in range(1 << n):
+            for b in range(1 << n):
+                mem = load_memory(nl, [a, b])
+                assert run_netlist(nl, mem) == nand_fold(nl, mem)
+
+    def test_sparse_text_runs_in_bounded_memory(self):
+        base = 1 << 20
+        lines = [f"INPUT {base} {base + 1}", f"OUTPUT {base + 201}"]
+        lines += [f"NAND {base + k} {base + k + 1} {base + k + 2}" for k in range(200)]
+        tracemalloc.start()
+        try:
+            nl = parse_netlist("\n".join(lines))
+            out = run_netlist(nl, load_memory(nl, [0b11]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read_outputs(nl, out) == [boolean_eval(nl, [0b11])[base + 201]]
+        assert peak < 4 << 20
 
 
 def exhaustive_planes(netlist: Netlist) -> tuple[dict[int, int], int]:

@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 
 import gacalc.core
+from gacalc.circuit import load_memory, parse_netlist
 from gacalc.cli import main
+
+from conftest import nand_fold
 
 MACHINES = Path(__file__).parent.parent / "src" / "gacalc" / "machines"
 NETLISTS = Path(__file__).parent.parent / "src" / "gacalc" / "netlists"
@@ -237,6 +240,23 @@ class TestCircuit:
         )
         assert code == 0
         assert report["result"]["outputs"] == [35]
+
+    @pytest.mark.parametrize(
+        "text, inputs",
+        [
+            ((NETLISTS / "mult3.nand").read_text(), "5,7"),
+            ("INPUT 0 1\nOUTPUT 3 5\nNAND 0 1 6\nNAND 0 6 5\nNAND 1 6 4\nNAND 5 4 3\n", "1"),
+        ],
+        ids=["mult3", "descending"],
+    )
+    def test_blade_sign_is_the_nand_fold_sign(self, capsys, tmp_path, text, inputs):
+        path = tmp_path / "netlist.nand"
+        path.write_text(text)
+        code, report, _ = run_json(capsys, "circuit", "--netlist", str(path), "--inputs", inputs)
+        nl = parse_netlist(text)
+        expected = nand_fold(nl, load_memory(nl, [int(v) for v in inputs.split(",")]))
+        assert code == 0
+        assert report["result"]["blade_sign"] == expected.sign
 
     def test_write_once_violation(self, capsys, tmp_path):
         path = tmp_path / "bad.nand"
