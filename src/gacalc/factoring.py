@@ -34,7 +34,7 @@ from .circuit import (
     run_netlist_planes,
 )
 from .core import Multivector, ResourceCapError
-from .encoding import SubspaceLayout, decode_wide, encode_wide
+from .encoding import SubspaceLayout, encode_wide
 
 FAITHFUL_MAX_N = 10
 FAST_MAX_N = 12
@@ -143,7 +143,9 @@ def project_product(fl: FactoringLayout, state: Multivector, z: int) -> Multivec
     if not 1 <= z < (1 << fl.n):
         raise ValueError(f"target {z} outside [1, 2^{fl.n})")
     layout = fl.layout
-    return state.project(lambda mask: decode_wide(mask, "0", "1", layout) == z)
+    select = layout["0"].mask | layout["1"].mask
+    want = encode_wide(z, "0", "1", layout)
+    return state.project(lambda mask: mask & select == want)
 
 
 def read_divisors(fl: FactoringLayout, state: Multivector) -> set[int]:

@@ -21,10 +21,19 @@ are therefore one mask test per term: consistency is
 
 Chain sign: the chained construction multiplies each step's output pair
 ext_i onto the chain from the left, ext_{K-1} ... ext_0 base, where base is
-the machine code OR all inputs.  Every factor of ext_i lies above every
-factor of ext_<i, so the sign is
-``reorder_sign(E, base) * (-1)^(sum_i |ext_i| * |ext_<i|)`` with E the OR of
-all ext_i: one sign scan per chain instead of one per step.
+the machine code OR all inputs.  Every output block lies above the machine
+code and step 0's inputs; step j's input block (j >= 1), a copy of step
+j-1's output, lies above the output blocks i < j and below those i >= j.
+With n_i the popcount of step i's output block, S_i = n_0 + ... + n_i and
+|ext| = S_{K-1}, the sign's parity is a sum of counts:
+
+    sum_i n_i * S_{i-1}                          (ext_i past ext_<i)
+  + |ext| * (|machine| + |inputs_0|)              (every ext past them)
+  + sum_{j=1}^{K-1} n_{j-1} * (|ext| - S_{j-1})   (ext_>=j past input j)
+
+The first and last sums both count the pairs of output bits in different
+steps' blocks, so they cancel and the sign is
+``(-1)^(|ext| * (|machine| + |inputs_0|))``: no sign scan at all.
 
 Everything here is finite by construction: K steps, B tape cells, and
 explicitly enumerated machine/configuration/state sets.  The probe answers
@@ -45,7 +54,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .core import Multivector, ResourceCapError, _accumulate, blade_mul, reorder_sign
+from .core import Multivector, ResourceCapError, _accumulate, blade_mul
 from .encoding import SubspaceLayout
 
 MOVES = ("L", "R")
@@ -316,37 +325,43 @@ class TruncationParams:
             ]
         self.layout = SubspaceLayout(widths)
         self.slots = tuple(self.layout.subspaces)
-        self._step_cache: dict[tuple[int, int, int], tuple[int, int]] = {}
+        # Per machine: packed input ``x | s << w_x`` -> packed output, filled
+        # by ``step_codes`` for in-set inputs only, whose codes fit w_x and w_s
+        # and so never alias a packed key.
+        self._successors: dict[int, dict[int, int]] = {m.code: {} for m in machines}
 
     @property
     def dimension(self) -> int:
         return self.layout.total_dim
 
     def step_codes(self, machine_code: int, x: int, s: int) -> tuple[int, int]:
-        """One step at the level of integer codes, with the REJECT conventions."""
-        key = (machine_code, x, s)
-        hit = self._step_cache.get(key)
-        if hit is not None:
-            return hit
+        """One step at the level of integer codes, with the REJECT conventions.
+
+        Steps on the machine's transition rows; results for inputs in the
+        enumerated sets are kept in the machine's successor memo.
+        """
         spec = self.machine_by_code.get(machine_code)
         if spec is None:
-            out = (x, self.reject_code)
-        elif (
-            x not in self._config_set
-            or s not in self._state_set
-            or s >= spec.num_states
-            or x >> self.cells >= self.cells
-        ):
-            out = (x, spec.reject)
-        else:
-            config, state = tm_step(spec, Config.from_code(x, self.cells), spec.state(s))
-            out = (config.code, state.code)
-        self._step_cache[key] = out
-        return out
-
-    def is_halt_code(self, machine_code: int, s: int) -> bool:
-        spec = self.machine_by_code.get(machine_code)
-        return spec is not None and s in spec.halt_states
+            return x, self.reject_code
+        if x not in self._config_set or s not in self._state_set:
+            return x, spec.reject
+        w_x, cells = self.slots[1].width, self.cells
+        memo = self._successors[machine_code]
+        key = x | s << w_x
+        out = memo.get(key)
+        if out is None:
+            tape, head = x & ~(-1 << cells), x >> cells
+            if s >= spec.num_states or head >= cells:
+                s = spec.reject
+            elif s not in spec.halt_states:  # halted states are fixed points
+                tr = spec.transitions[(s, tape >> head & 1)]
+                tape = tape & ~(1 << head) | tr.write << head
+                moved = head + (1 if tr.move == "R" else -1)
+                # Head runoff: the write stands, the head stays on its cell.
+                head, s = (moved, tr.next_state) if 0 <= moved < cells else (head, spec.reject)
+                x = tape | head << cells
+            out = memo[key] = x | s << w_x
+        return out & ~(-1 << w_x), out >> w_x
 
 
 def build_free_superposition(params: TruncationParams) -> Multivector:
@@ -453,9 +468,11 @@ def halt_project(state: Multivector, params: TruncationParams) -> Multivector:
     state_slots = [params.slots[4 * i + 4] for i in range(params.steps)]
     state_slots += [params.slots[4 * i + 2] for i in range(1, params.steps)]
 
+    halt_states = {m.code: m.halt_states for m in params.machines}
+
     def halted(mask: int) -> bool:
-        m_code = machine.decode(mask)
-        return any(params.is_halt_code(m_code, sub.decode(mask)) for sub in state_slots)
+        halts = halt_states.get(machine.decode(mask), ())
+        return any(sub.decode(mask) in halts for sub in state_slots)
 
     return state.project(halted)
 
@@ -471,6 +488,8 @@ def build_chained_superposition(
     enumerated config/state sets, exactly as the free construction would fail
     to chain onto a missing input term.  Equals
     ``consistency_project(apply_all_steps(build_free_superposition(...)))``.
+    Each step is one lookup in the machine's successor memo; a miss calls
+    ``params.step_codes``, which fills it.
     """
     if starts is None:
         starts = [
@@ -484,35 +503,40 @@ def build_chained_superposition(
             f"chained superposition needs {len(starts)} chains, cap is {params.term_cap}"
         )
     h, links = _links(params)
-    machine, x_in, s_in, x_out = params.slots[:4]
-    w_x = x_out.width
+    machine, x_in, s_in = params.slots[:3]
+    w_x = x_in.width
+    x_mask = ~(-1 << w_x)
     out_offsets = [params.slots[4 * i + 3].offset for i in range(params.steps)]
     step_codes = params.step_codes
+    successors, no_memo = params._successors, {}
     configs, states = params._config_set, params._state_set
-    last = params.steps - 1
 
     def chains():
         for m_code, x, s in starts:
+            # Range-checked before packing: an over-wide start raises here
+            # instead of aliasing another start's packed key.
             inputs = x_in.encode(x) | s_in.encode(s)
-            ext = parity = seen = 0
+            memo = successors.get(m_code, no_memo)
+            code, ext = x | s << w_x, 0
             for i, offset in enumerate(out_offsets):
-                x, s = step_codes(m_code, x, s)
+                out = memo.get(code)
+                if out is None:
+                    x, s = code & x_mask, code >> w_x
+                    if i and (x not in configs or s not in states):
+                        break  # step i-1's outputs left the enumerated sets
+                    x, s = step_codes(m_code, x, s)
+                    out = x | s << w_x
                 # No range check needed: TruncationParams sized w_x for every
                 # tape/head code and w_s for every machine state and reject
                 # code, so a step's outputs fit slots 4i+3 and 4i+4.
-                block = (x | s << w_x) << offset
-                n = block.bit_count()
-                parity += n * seen
-                seen += n
-                ext |= block
-                if i < last and (x not in configs or s not in states):
-                    break
+                ext |= out << offset
+                code = out
             else:
                 # Steps 1..K-1 read the previous step's outputs: ext's output
                 # blocks of steps 0..K-2, moved up one block.
-                base = machine.encode(m_code) | inputs | (ext & links) << h
-                sign = reorder_sign(ext, base)
-                yield base | ext, -sign if parity & 1 else sign
+                low = machine.encode(m_code) | inputs
+                parity = ext.bit_count() * low.bit_count()
+                yield low | (ext & links) << h | ext, -1 if parity & 1 else 1
 
     return Multivector._wrap(params.dimension, _accumulate(chains()))
 

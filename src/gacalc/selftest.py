@@ -283,6 +283,24 @@ def _check_halting() -> list[PropertyResult]:
                 ok = False
     out = [PropertyResult("halting-probe", "probe-matches-direct-simulation", ok)]
 
+    # The memoized code-level step against tm_step, twice so that the second
+    # pass reads the memo; codes outside a machine's states go to REJECT.
+    machines = halting.bundled_machines()
+    params = halting.TruncationParams(machines, steps=1, cells=3)
+    ok = True
+    for spec in machines * 2:
+        for x in params.config_codes:
+            for s in params.state_codes:
+                if s < spec.num_states:
+                    config, state = halting.tm_step(
+                        spec, halting.Config.from_code(x, 3), spec.state(s)
+                    )
+                    want = config.code, state.code
+                else:
+                    want = x, spec.reject
+                ok = ok and params.step_codes(spec.code, x, s) == want
+    out.append(PropertyResult("halting-probe", "step-codes-match-tm-step", ok))
+
     machines = [m for m in halting.bundled_machines() if m.name in ("bb1", "runner-right")]
     params = halting.TruncationParams(
         machines, steps=2, cells=1, state_codes=[0, 1], term_cap=100_000

@@ -3,9 +3,11 @@ import tracemalloc
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gacalc.core import Multivector, ResourceCapError, to_records
-from gacalc.encoding import decode, encode
+from gacalc.encoding import decode, decode_wide, encode, encode_wide
 from gacalc.factoring import (
     ROUTES,
     FactoringLayout,
@@ -20,6 +22,33 @@ from gacalc.factoring import (
 def divisors(z: int) -> set[int]:
     """Oracle: trial division."""
     return {d for d in range(1, z + 1) if z % d == 0}
+
+
+def reference_project_product(fl: FactoringLayout, state: Multivector, z: int) -> Multivector:
+    """Reference projection: decode each term's product from subspaces "0" + "1"."""
+    return state.project(lambda mask: decode_wide(mask, "0", "1", fl.layout) == z)
+
+
+@st.composite
+def product_states(draw):
+    """A target z and an arbitrary state whose masks may set any bit.
+
+    The state is four dimensions wider than the layout, so bits above subspace
+    "2" occur too; about half the terms carry z in subspaces "0" + "1".
+    """
+    n = draw(st.integers(1, 5))
+    fl = FactoringLayout(n)
+    z = draw(st.integers(1, (1 << n) - 1))
+    dim = fl.dimension + 4
+    product, low = encode_wide(z, "0", "1", fl.layout), (1 << 2 * n) - 1
+    terms = {}
+    for mask, hit in draw(
+        st.lists(st.tuples(st.integers(0, (1 << dim) - 1), st.booleans()), max_size=24)
+    ):
+        terms[mask & ~low | product if hit else mask] = draw(
+            st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=6)).filter(bool)
+        )
+    return fl, Multivector(dim, terms), z
 
 
 class TestSuperposition:
@@ -130,6 +159,14 @@ class TestProjectAndRead:
         out = multiply_all(fl, build_factoring_superposition(fl))
         once = project_product(fl, out, 6)
         assert project_product(fl, once, 6) == once
+
+    @settings(max_examples=150, deadline=None)
+    @given(product_states())
+    def test_mask_test_matches_decode(self, case):
+        fl, state, z = case
+        got = project_product(fl, state, z)
+        assert dict(got.terms) == dict(reference_project_product(fl, state, z).terms)
+        assert got.dimension == state.dimension
 
     def test_prime(self):
         assert factor_pipeline(5, 3)["divisors"] == [1, 5]

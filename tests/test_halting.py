@@ -42,6 +42,22 @@ def blank(cells: int, head: int = 0) -> Config:
 # --- references: slot-by-slot definitions that the mask-level code must equal --
 
 
+def reference_step_codes(params: TruncationParams, machine_code: int, x: int, s: int):
+    """Reference step on codes: ``tm_step`` on ``Config``/``MachineState``, no memo."""
+    spec = params.machine_by_code.get(machine_code)
+    if spec is None:
+        return x, params.reject_code
+    if (
+        x not in params._config_set
+        or s not in params._state_set
+        or s >= spec.num_states
+        or x >> params.cells >= params.cells
+    ):
+        return x, spec.reject
+    config, state = tm_step(spec, Config.from_code(x, params.cells), spec.state(s))
+    return config.code, state.code
+
+
 def stepwise_chains(params: TruncationParams, starts=None) -> Multivector:
     """Reference chain build: range-checked ``encode`` per slot, one ``blade_mul`` per step."""
     if starts is None:
@@ -60,7 +76,7 @@ def stepwise_chains(params: TruncationParams, starts=None) -> Multivector:
         extensions = []
         for i in range(params.steps):
             mask |= slots[4 * i + 1].encode(x) | slots[4 * i + 2].encode(s)
-            x, s = params.step_codes(m_code, x, s)
+            x, s = reference_step_codes(params, m_code, x, s)
             extensions.append(slots[4 * i + 3].encode(x) | slots[4 * i + 4].encode(s))
             if i < last and (x not in configs or s not in states):
                 break
@@ -219,6 +235,51 @@ class TestStep:
 
     def test_immediate_halt_at_step_zero(self):
         assert run_direct(CORPUS["halt-now"], blank(2), 5) == (True, 0)
+
+
+class TestStepCodes:
+    """``TruncationParams.step_codes`` against the ``tm_step`` reference."""
+
+    @pytest.mark.parametrize("cells", range(1, 7))
+    def test_every_enumerated_input(self, cells):
+        params = TruncationParams(list(CORPUS.values()), 1, cells)
+        cases = [
+            (m.code, x, s)
+            for m in params.machines
+            for x in params.config_codes
+            for s in params.state_codes
+        ]
+        assert any(s >= CORPUS["bb1"].num_states for _, _, s in cases)
+        for _ in range(2):  # the second pass reads the successor memo
+            for case in cases:
+                assert params.step_codes(*case) == reference_step_codes(params, *case), case
+
+    def test_out_of_set_inputs(self):
+        seeker = CORPUS["seeker"]
+        halted = 1  # a halt state other than reject, so the two rules differ
+        assert halted in seeker.halt_states and halted != seeker.reject
+        params = TruncationParams(
+            [seeker, CORPUS["bb1"]],
+            1,
+            2,
+            config_codes=[0, 1, 4, 5, 2 << 2],  # 2 << 2 puts the head on cell 2
+            state_codes=[0, 1, 2, 3],
+            reject_code=1,
+        )
+        unknown = next(c for c in range(1 << 8) if c not in params.machine_by_code)
+        cases = {
+            (unknown, 5, 0): (5, params.reject_code),
+            (seeker.code, 2, 0): (2, seeker.reject),  # x outside the config set
+            (seeker.code, 0, 4): (0, seeker.reject),  # s outside the state set
+            (seeker.code, 0, 3): (0, seeker.reject),  # s in the set, >= num_states
+            (seeker.code, 2 << 2, 0): (2 << 2, seeker.reject),  # head >= cells
+            (seeker.code, 2, halted): (2, seeker.reject),  # halted, x outside the set
+            (seeker.code, 4, halted): (4, halted),  # halted states are fixed points
+        }
+        for _ in range(2):
+            for case, want in cases.items():
+                assert params.step_codes(*case) == want, case
+                assert reference_step_codes(params, *case) == want, case
 
 
 def test_slots_are_the_layout_subspaces_in_index_order():
@@ -440,6 +501,8 @@ class TestConstructionEquivalence:
             (("bb1",), 2, 1),
             (("bb1", "runner-right"), 2, 1),
             (("left-halter", "wiper"), 2, 1),
+            (tuple(CORPUS), 1, 3),
+            (tuple(CORPUS), 3, 1),
         ],
     )
     def test_chained_equals_free_plus_consistency(self, names, steps, cells):
@@ -500,7 +563,7 @@ class TestChainBuild:
         "config_codes,state_codes",
         [([0, 1, 4, 5], [0, 1]), ([0, 3, 5, 6, 9], [1, 2]), (None, [0, 2])],
     )
-    @pytest.mark.parametrize("steps", [1, 2, 5])
+    @pytest.mark.parametrize("steps", range(1, 9))
     def test_restricted_sets(self, steps, config_codes, state_codes):
         params = TruncationParams(
             list(CORPUS.values()),
@@ -511,7 +574,7 @@ class TestChainBuild:
         )
         assert_same_terms(build_chained_superposition(params), stepwise_chains(params))
 
-    @pytest.mark.parametrize("steps", [1, 2, 4])
+    @pytest.mark.parametrize("steps", range(1, 9))
     def test_explicit_starts(self, steps):
         bb2 = CORPUS["bb2"]
         params = TruncationParams(
