@@ -160,12 +160,6 @@ class Netlist:
         """Gate-written places that are not declared outputs."""
         return {g.r for g in self.gates} - set(self.outputs)
 
-    def place_count(self) -> int:
-        places = set(self.inputs) | set(self.outputs)
-        for g in self.gates:
-            places.update((g.p, g.q, g.r))
-        return max(places) + 1 if places else 0
-
 
 def run_netlist(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
     """Apply every gate in order; the final bit pattern is the circuit value.

@@ -297,23 +297,20 @@ class Multivector:
                 acc[m] = c
         return Multivector._raw(self._dim, acc)
 
-    def map_blades(
-        self, f: Callable[[int], tuple[int, int]], dimension: int | None = None
-    ) -> "Multivector":
+    def map_blades(self, f: Callable[[int], tuple[int, int]]) -> "Multivector":
         """Linear lift of a signed blade map ``f(mask) -> (mask', +1 or -1)``.
 
         Each term c*e_mask becomes +-c*e_mask'; images that land on one blade
-        are summed and exact zeros dropped.  The result lives in ``dimension``
-        (default: this multivector's); an image outside it raises ``ValueError``.
+        are summed and exact zeros dropped.  The result lives in this
+        multivector's algebra; an image outside it raises ``ValueError``.
         """
-        dim = self._dim if dimension is None else dimension
 
         def images():
             for mask, c in self._terms.items():
                 out, sign = f(mask)
                 yield out, (c if sign > 0 else -c)
 
-        return Multivector._wrap(dim, _accumulate(images()))
+        return Multivector._wrap(self._dim, _accumulate(images()))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -379,21 +376,25 @@ def from_records(records: Iterable[Mapping[str, str]], dimension: int) -> Multiv
     """Inverse of :func:`to_records` for the given algebra dimension.
 
     A coefficient whose reduced denominator is 1 is stored as an ``int``,
-    any other as a ``Fraction``.  A record with a missing field or a zero
-    denominator raises ``ValueError`` naming the record.
+    any other as a ``Fraction``.  A malformed record raises ``ValueError``
+    naming it: not a mapping of integer strings (``mask`` in hex), a missing
+    field, a zero denominator, or a mask repeated or outside ``dimension``.
     """
     terms: dict[int, Coefficient] = {}
     for rec in records:
         try:
-            mask = int(rec["mask"], 16)
-            coeff = Fraction(int(rec["num"]), int(rec["den"]))
-            if coeff.denominator == 1:
-                coeff = coeff.numerator
+            fields = rec["mask"], rec["num"], rec["den"]
+            if not all(type(f) is str for f in fields):
+                raise TypeError  # int() would truncate a float and accept a bool
+            mask = int(fields[0], 16)
+            coeff = Fraction(int(fields[1]), int(fields[2]))
         except KeyError as exc:
             raise ValueError(f"record {rec!r} lacks field {exc}") from None
         except ZeroDivisionError:
             raise ValueError(f"record {rec!r} has a zero denominator") from None
-        if mask in terms:
-            raise ValueError(f"duplicate mask {rec['mask']} in records")
-        terms[mask] = coeff
+        except (TypeError, ValueError):
+            raise ValueError(f"record {rec!r} is not a mapping of integer strings") from None
+        if mask < 0 or mask >> dimension or mask in terms:
+            raise ValueError(f"record {rec!r} repeats a mask or leaves dimension {dimension}")
+        terms[mask] = coeff.numerator if coeff.denominator == 1 else coeff
     return Multivector(dimension, terms)

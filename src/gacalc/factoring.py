@@ -6,11 +6,11 @@ pipeline).  One application of the lifted multiplier rewrites every term to
 the wide product xy across subspaces "0"+"1" with y still in "2"; projecting
 onto product = Z and reading subspace "2" then yields every divisor of Z.
 
-``multiply_all`` is the multiplier on an arbitrary state, by one of two
-interchangeable routes (tested equal): the faithful route runs the NAND
-multiplier netlist on each blade and relabels the product places back into
-the layout, the fast route permutes blades directly with host-integer
-multiplication.
+``multiply_all`` is the multiplier on an arbitrary state: one blade map
+lifted in the layout's own algebra, so it is linear on signed states too.
+Its product comes from one of two routes, tested equal: the faithful route
+runs the NAND multiplier netlist on each blade and reads its product places,
+the fast route multiplies the decoded operands as host integers.
 
 ``factor_pipeline`` runs the full superposition.  Its faithful route builds
 the 4^n-term state and multiplies it blade by blade as above.  Its fast
@@ -29,7 +29,7 @@ from .circuit import (
     MemoryBlade,
     Netlist,
     build_nand_multiplier,
-    relabel_and_discard,
+    read_outputs,
     run_netlist,
     run_netlist_planes,
 )
@@ -43,7 +43,7 @@ ROUTES = ("faithful", "fast")
 
 
 class FactoringLayout:
-    """Three n-bit subspaces plus the ancilla region used by the netlist route."""
+    """Three n-bit subspaces; the netlist route's ancilla places lie above them."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -98,44 +98,29 @@ def build_factoring_superposition(
     return Multivector._wrap(fl.dimension, terms)
 
 
-def _fast_multiply_op(fl: FactoringLayout):
+def _multiply_op(fl: FactoringLayout, route: str):
+    """The per-blade multiplier: x * y into subspaces "0"+"1", "2" kept, sign +1."""
     layout = fl.layout
     x_sub, y_sub = layout["0"], layout["2"]
     keep = y_sub.mask
+    if route == "fast":
+        product = lambda mask: x_sub.decode(mask) * y_sub.decode(mask)
+    elif route == "faithful":
+        # Only the product's bits are read: the gate writes' sign has no bit content.
+        netlist = fl.multiplier_netlist()
+        product = lambda mask: read_outputs(netlist, run_netlist(netlist, MemoryBlade(mask)))[0]
+    else:
+        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 
     def op(mask: int) -> tuple[int, int]:
-        product = x_sub.decode(mask) * y_sub.decode(mask)
-        return encode_wide(product, "0", "1", layout) | (mask & keep), 1
+        return encode_wide(product(mask), "0", "1", layout) | (mask & keep), 1
 
     return op
 
 
-def _faithful_multiply(fl: FactoringLayout, state: Multivector) -> Multivector:
-    netlist = fl.multiplier_netlist()
-    dim = netlist.place_count()
-
-    def op(mask: int) -> tuple[int, int]:
-        # The reorder sign accumulated by the gate writes is semantically
-        # inert for bit contents; the route drops it so that legitimate term
-        # merges in the relabel step stay all-positive.
-        return run_netlist(netlist, MemoryBlade(mask)).mask, 1
-
-    product_places = netlist.output_groups[0]
-    place_map = {src: k for k, src in enumerate(product_places)}
-    for place in range(2 * fl.n, 3 * fl.n):  # subspace "2" stays put
-        place_map[place] = place
-    discard = set(range(dim)) - set(place_map)
-    wide = state.map_blades(op, dim)
-    return relabel_and_discard(wide, place_map, discard, dimension=fl.dimension)
-
-
 def multiply_all(fl: FactoringLayout, state: Multivector, route: str = "fast") -> Multivector:
-    """One lifted multiplication pass: every term becomes wide-product form."""
-    if route == "fast":
-        return state.map_blades(_fast_multiply_op(fl))
-    if route == "faithful":
-        return _faithful_multiply(fl, state)
-    raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    """One lifted, linear multiplication pass: every term becomes wide-product form."""
+    return state.map_blades(_multiply_op(fl, route))
 
 
 def project_product(fl: FactoringLayout, state: Multivector, z: int) -> Multivector:

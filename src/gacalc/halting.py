@@ -402,6 +402,8 @@ def apply_step_operator(state: Multivector, i: int, params: TruncationParams) ->
     """Fill step i's output slots from its input slots on every term."""
     if not 0 <= i < params.steps:
         raise ValueError(f"step index {i} outside [0, {params.steps})")
+    if state.dimension != params.dimension:
+        raise ValueError(f"state dimension {state.dimension}, parameters need {params.dimension}")
     machine = params.slots[0]
     x_in, s_in, x_out, s_out = params.slots[4 * i + 1 : 4 * i + 5]
     out_region = x_out.mask | s_out.mask
@@ -415,7 +417,7 @@ def apply_step_operator(state: Multivector, i: int, params: TruncationParams) ->
         x, s = step_codes(machine.decode(mask), x_in.decode(mask), s_in.decode(mask))
         return blade_mul(x_out.encode(x) | s_out.encode(s), mask)
 
-    return state.map_blades(step, params.dimension)
+    return state.map_blades(step)
 
 
 def apply_all_steps(state: Multivector, params: TruncationParams) -> Multivector:

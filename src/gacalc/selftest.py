@@ -268,6 +268,19 @@ def _check_factoring() -> list[PropertyResult]:
         if fast["divisors"] != faithful["divisors"] or fast["state"] != faithful["state"]:
             ok = False
     out.append(PropertyResult("factoring", "planes-match-blade-route", ok))
+
+    # Signed terms plus a cancelling pair: (x=1, y=0) and (x=2, y=0) give product 0.
+    rng = random.Random(41)
+    fl = factoring.FactoringLayout(3)
+    terms = {rng.randrange(512): rng.choice((-3, -1, 2, Fraction(-1, 2))) for _ in range(24)}
+    terms[1], terms[2] = 5, -5
+    want = {}
+    for mask, c in terms.items():
+        image = (mask & 7) * (mask >> 6) | mask >> 6 << 6
+        want[image] = want.get(image, 0) + c
+    state, want = (core.Multivector(fl.dimension, t) for t in (terms, want))
+    ok = all(factoring.multiply_all(fl, state, r) == want for r in factoring.ROUTES)
+    out.append(PropertyResult("factoring", "multiply-routes-agree-on-signed-states", ok))
     return out
 
 
@@ -301,13 +314,15 @@ def _check_halting() -> list[PropertyResult]:
                 ok = ok and params.step_codes(spec.code, x, s) == want
     out.append(PropertyResult("halting-probe", "step-codes-match-tm-step", ok))
 
+    # B = 2, the smallest tape here with a chain sign of -1, which the check requires.
     machines = [m for m in halting.bundled_machines() if m.name in ("bb1", "runner-right")]
     params = halting.TruncationParams(
-        machines, steps=2, cells=1, state_codes=[0, 1], term_cap=100_000
+        machines, steps=2, cells=2, state_codes=[0, 1], term_cap=100_000
     )
     stepped = halting.apply_all_steps(halting.build_free_superposition(params), params)
     free = halting.consistency_project(stepped, params)
-    ok = free == halting.build_chained_superposition(params)
+    chained = halting.build_chained_superposition(params)
+    ok = free == chained and any(c < 0 for c in chained.terms.values())
     out.append(PropertyResult("halting-probe", "chained-equals-free-construction", ok))
 
     # The mask test against the slot-by-slot definition: each step output

@@ -318,7 +318,7 @@ class TestCoefficientTypes:
         a = Multivector(4, {0b1: 1, 0b10: -1, 0b11: 3})
         for name in sorted(TestMapBlades.MAPS):
             f, extra = TestMapBlades.MAPS[name]
-            out = a.map_blades(f, a.dimension + extra)
+            out = widened(a, extra).map_blades(f)
             assert out and all(type(c) is int for c in out.terms.values())
 
 
@@ -365,6 +365,11 @@ def lifted(f, dim: int):
     return linear_extend(lambda m: Multivector.blade(dim, *f(m)))
 
 
+def widened(mv: Multivector, extra: int) -> Multivector:
+    """The same terms in an algebra ``extra`` dimensions wider."""
+    return Multivector(mv.dimension + extra, mv.terms)
+
+
 def drop_low_bit(m: int) -> tuple[int, int]:
     # m and m ^ 1 land on one blade with opposite signs.
     return m & ~1, -1 if m & 1 else 1
@@ -382,13 +387,12 @@ class TestMapBlades:
         f, extra = self.MAPS[name]
         rng = random.Random(21)
         for _ in range(50):
-            a = random_mv(rng, 6, rng.randint(0, 12))
-            dim = a.dimension + extra
-            got = a.map_blades(f, dim if extra else None)
+            a = widened(random_mv(rng, 6, rng.randint(0, 12)), extra)
+            got = a.map_blades(f)
             # linear_extend takes its dimension from the images, so compare
             # terms: an empty state has no image to take it from.
-            assert got.dimension == dim
-            assert got.terms == lifted(f, dim)(a).terms
+            assert got.dimension == a.dimension
+            assert got.terms == lifted(f, a.dimension)(a).terms
             assert all(c != 0 for c in got.terms.values())
 
     def test_exact_cancellation_drops_the_blade(self):
@@ -401,8 +405,8 @@ class TestMapBlades:
         with pytest.raises(ValueError, match="fit dimension 4"):
             a.map_blades(lambda m: (m | 1 << 4, 1))
         with pytest.raises(ValueError, match="fit dimension 2"):
-            a.map_blades(lambda m: (m << 3, 1), 2)
-        assert a.map_blades(lambda m: (m << 3, 1), 5) == Multivector.blade(5, 0b1000)
+            Multivector(2, {0b1: 1}).map_blades(lambda m: (m << 3, 1))
+        assert widened(a, 1).map_blades(lambda m: (m << 3, 1)) == Multivector.blade(5, 0b1000)
 
 
 @settings(max_examples=100)
@@ -414,8 +418,7 @@ class TestMapBlades:
 )
 def test_map_blades_is_linear(a, b, k, name):
     f, extra = TestMapBlades.MAPS[name]
-    dim = a.dimension + extra
-    lift = lambda x: x.map_blades(f, dim)
+    lift = lambda x: widened(x, extra).map_blades(f)
     assert lift(a + b) == lift(a) + lift(b)
     assert lift(a.scale(k)) == lift(a).scale(k)
 
@@ -431,7 +434,6 @@ def test_map_blades_is_linear(a, b, k, name):
 )
 def test_int_coefficients_agree_with_fractions(as_fractions, a, b, k, name):
     f, extra = TestMapBlades.MAPS[name]
-    dim = a.dimension + extra
     even = lambda m: m.bit_count() % 2 == 0
     fa, fb = as_fractions(a), as_fractions(b)
     pairs = [
@@ -439,7 +441,7 @@ def test_int_coefficients_agree_with_fractions(as_fractions, a, b, k, name):
         (a - b, fa - fb),
         (a.scale(k), fa.scale(k)),
         (a * b, fa * fb),
-        (a.map_blades(f, dim), fa.map_blades(f, dim)),
+        (widened(a, extra).map_blades(f), widened(fa, extra).map_blades(f)),
         (a.project(even), fa.project(even)),
     ]
     for got, want in pairs:
@@ -501,6 +503,56 @@ def test_from_records_missing_field_names_record():
     with pytest.raises(ValueError, match="lacks field 'den'") as exc:
         from_records([{"mask": "3", "num": "1"}], 4)
     assert "'mask': '3'" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        {"mask": 5, "num": "1", "den": "1"},
+        ["5", "1", "1"],
+        "5",
+        None,
+        {"mask": "5", "num": None, "den": "1"},
+        {"mask": "5", "num": 1.5, "den": "1"},
+        {"mask": "5", "num": True, "den": "1"},
+        {"mask": "zz", "num": "1", "den": "1"},
+        {"mask": "5", "num": "1.5", "den": "1"},
+        {"mask": "-5", "num": "1", "den": "1"},
+        {"mask": "10", "num": "1", "den": "1"},
+        {"mask": "01", "num": "2", "den": "1"},
+    ],
+)
+def test_from_records_malformed_names_record(rec):
+    with pytest.raises(ValueError) as exc:
+        from_records([{"mask": "1", "num": "1", "den": "1"}, rec], 4)
+    assert repr(rec) in str(exc.value)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=6,
+)
+field_values = json_values | st.from_regex(r"-?[0-9a-fA-F]{0,4}", fullmatch=True)
+json_records = st.lists(
+    json_values
+    | st.fixed_dictionaries(
+        {}, optional={"mask": field_values, "num": field_values, "den": field_values}
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=300)
+@given(json_records)
+def test_from_records_returns_or_names_record(records):
+    try:
+        got = from_records(records, 8)
+    except ValueError as exc:
+        assert any(repr(rec) in str(exc) for rec in records)
+    else:
+        assert isinstance(got, Multivector) and got.dimension == 8
+        assert from_records(to_records(got), 8) == got
 
 
 def test_from_records_keeps_integral_coefficients_int():

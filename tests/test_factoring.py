@@ -1,11 +1,12 @@
 """Factoring pipeline against trial division, plus faithful/fast route equality."""
 import tracemalloc
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gacalc.circuit import MemoryBlade, relabel_and_discard, run_netlist
 from gacalc.core import Multivector, ResourceCapError, to_records
 from gacalc.encoding import decode, decode_wide, encode, encode_wide
 from gacalc.factoring import (
@@ -27,6 +28,68 @@ def divisors(z: int) -> set[int]:
 def reference_project_product(fl: FactoringLayout, state: Multivector, z: int) -> Multivector:
     """Reference projection: decode each term's product from subspaces "0" + "1"."""
     return state.project(lambda mask: decode_wide(mask, "0", "1", fl.layout) == z)
+
+
+def host_multiply(fl: FactoringLayout, state: Multivector) -> Multivector:
+    """Reference multiplier on plain ints: x * y into bits [0, 2n), y kept above.
+
+    Subspaces "0", "1", "2" sit at bits [0, n), [n, 2n), [2n, 3n), so the wide
+    product across "0"+"1" is the integer itself.
+    """
+    n = fl.n
+    acc = {}
+    for mask, c in state.terms.items():
+        x, y = mask & (1 << n) - 1, mask >> 2 * n
+        out = x * y | y << 2 * n
+        acc[out] = acc.get(out, 0) + c
+    return Multivector(fl.dimension, acc)
+
+
+def relabel_route_multiply(fl: FactoringLayout, state: Multivector) -> Multivector:
+    """The faithful route through the netlist's own place algebra.
+
+    Each blade runs through the NAND netlist in the wider algebra of all its
+    places; ``relabel_and_discard`` then moves the product places onto
+    subspaces "0"+"1", keeps "2" and drops every other place.  It takes the
+    absolute value of each merged coefficient and raises ``CollisionError``
+    when merged terms cancel, so it matches ``multiply_all`` on
+    unit-coefficient states only.
+    """
+    netlist = fl.multiplier_netlist()
+    places = [*netlist.inputs, *netlist.outputs, *(g.r for g in netlist.gates)]
+    dim = max(places) + 1
+    wide = Multivector(dim, state.terms).map_blades(
+        lambda mask: (run_netlist(netlist, MemoryBlade(mask)).mask, 1)
+    )
+    place_map = {src: k for k, src in enumerate(netlist.output_groups[0])}
+    for place in range(2 * fl.n, 3 * fl.n):  # subspace "2" stays put
+        place_map[place] = place
+    discard = set(range(dim)) - set(place_map)
+    return relabel_and_discard(wide, place_map, discard, dimension=fl.dimension)
+
+
+coefficients = st.one_of(
+    st.integers(-6, 6), st.fractions(-3, 3, max_denominator=6)
+).filter(bool)
+
+
+@st.composite
+def signed_states(draw, n):
+    """An arbitrary signed state of the width-n layout.
+
+    Half the draws add a cancelling pair: (x1, y = 0) and (x2, y = 0) with
+    opposite coefficients, which both multiply to the blade of product 0.
+    """
+    fl = FactoringLayout(n)
+    terms = draw(
+        st.dictionaries(st.integers(0, (1 << fl.dimension) - 1), coefficients, max_size=12)
+    )
+    if draw(st.booleans()):
+        xs = st.integers(0, (1 << n) - 1)
+        x1, x2 = draw(st.lists(xs, min_size=2, max_size=2, unique=True))
+        c = draw(coefficients)
+        terms[x1], terms[x2] = c, -c
+    return Multivector(fl.dimension, terms)
 
 
 @st.composite
@@ -130,6 +193,45 @@ class TestMultiplyAll:
         assert got == want
         assert to_records(got) == to_records(want)
         assert all(type(c) is int for c in got.terms.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 3), coefficients)
+    def test_linear_on_signed_states(self, data, n, k):
+        fl = FactoringLayout(n)
+        a, b = data.draw(signed_states(n)), data.draw(signed_states(n))
+        for state in (a, b, a + b):
+            want = host_multiply(fl, state)
+            assert multiply_all(fl, state, "fast") == want == multiply_all(fl, state, "faithful")
+        for route in ROUTES:
+            mul = partial(multiply_all, fl, route=route)
+            assert mul(a + b) == mul(a) + mul(b)
+            assert mul(a.scale(k)) == mul(a).scale(k)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_signed_and_cancelling_terms(self, route):
+        fl = FactoringLayout(2)
+        layout = fl.layout
+        # (x=1, y=0) and (x=2, y=0) both multiply to product 0, y = 0.
+        pair = Multivector(fl.dimension, {encode(1, "0", layout): 1, encode(2, "0", layout): -1})
+        assert multiply_all(fl, pair, route=route).is_zero()
+        term = Multivector.blade(fl.dimension, encode(3, "0", layout) | encode(3, "2", layout), -3)
+        out = multiply_all(fl, term, route=route)
+        assert dict(out.terms) == {encode_wide(9, "0", "1", layout) | encode(3, "2", layout): -3}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_relabel_route_on_unit_states(self, n):
+        fl = FactoringLayout(n)
+        top = (1 << n) - 1
+        states = [
+            build_factoring_superposition(fl),
+            build_factoring_superposition(fl, xs=range(0, top + 1, 2), ys=[0, 1, top]),
+            build_factoring_superposition(fl, xs=[top], ys=range(top + 1)),
+            build_factoring_superposition(fl, xs=[0, 1], ys=[0]),
+        ]
+        for state in states:
+            want = relabel_route_multiply(fl, state)
+            assert multiply_all(fl, state, route="fast") == want
+            assert multiply_all(fl, state, route="faithful") == want
 
     def test_merged_multiplicities_positive(self):
         # every x multiplied by y = 0 lands on the same term; coefficients add

@@ -343,6 +343,13 @@ class TestStepOperator:
         zero = Multivector.zero(params.dimension)
         assert apply_step_operator(zero, 0, params) == zero
 
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_state_of_another_dimension(self, offset):
+        params = TruncationParams([CORPUS["bb1"]], steps=1, cells=1)
+        state = Multivector.zero(params.dimension + offset)
+        with pytest.raises(ValueError, match="parameters need"):
+            apply_step_operator(state, 0, params)
+
     def test_single_term_hand_checked(self):
         spec = CORPUS["bb1"]
         params = TruncationParams([spec], steps=1, cells=2)
