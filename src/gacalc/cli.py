@@ -37,7 +37,8 @@ class RunReport:
 def _parse_int_set(spec: str, width: int) -> set[int]:
     """Comma-separated integers and inclusive ``a..b`` ranges in [0, 2^width).
 
-    Each value and range end is range-checked before any range is expanded.
+    Each value and range end, and the size against ``core.MAX_TERMS``, is
+    checked before any range is expanded.  A malformed spec is a UsageError.
     """
     out: set[int] = set()
     for token in spec.split(","):
@@ -45,13 +46,17 @@ def _parse_int_set(spec: str, width: int) -> set[int]:
         if not token:
             continue
         lo_s, dots, hi_s = token.partition("..")
-        lo = int(lo_s)
-        hi = int(hi_s) if dots else lo
+        try:
+            lo = int(lo_s)
+            hi = int(hi_s) if dots else lo
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         for value in (lo, hi):
             if value < 0 or value >> width:
                 raise UsageError(f"{value} outside [0, 2^{width})")
         if hi < lo:
             raise UsageError(f"empty range {token!r}")
+        core.check_terms(len(out) + hi - lo + 1, "integer set")
         out.update(range(lo, hi + 1))
     return out
 
@@ -108,7 +113,7 @@ def cmd_factor(args: argparse.Namespace) -> RunReport:
     start = time.perf_counter()
     try:
         stats = factoring.factor_pipeline(
-            args.z, args.n, route=args.route, max_n=args.max_n, keep_state=args.dump_state
+            args.z, args.n, route=args.route, keep_state=args.dump_state
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -139,9 +144,7 @@ def cmd_halt_probe(args: argparse.Namespace) -> RunReport:
     if args.steps < 1:
         raise UsageError("--steps must be at least 1")
     start = time.perf_counter()
-    report = halting.probe_report(
-        spec, config, args.steps, mode=args.mode, term_cap=args.term_cap
-    )
+    report = halting.probe_report(spec, config, args.steps, mode=args.mode)
     elapsed = time.perf_counter() - start
     return RunReport(
         command="halt-probe",
@@ -268,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="operand width; needs 2^n > z")
     p.add_argument("--route", choices=factoring.ROUTES, default="fast")
-    p.add_argument("--max-n", type=int, default=None, help="override the width cap")
     p.add_argument(
         "--dump-state",
         action="store_true",
@@ -284,12 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True, help="step bound K")
     p.add_argument("--tape", type=int, required=True, help="tape cell count B")
     p.add_argument("--mode", choices=("ga", "direct", "both"), default="both")
-    p.add_argument(
-        "--term-cap",
-        type=int,
-        default=500_000,
-        help="resource cap on constructed superposition terms",
-    )
     add_format(p)
     p.set_defaults(handler=cmd_halt_probe)
 

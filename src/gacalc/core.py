@@ -34,7 +34,16 @@ class DimensionMismatch(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """A construction would exceed its configured size cap."""
+    """A construction is over ``MAX_TERMS`` terms, or the fast factoring route's width."""
+
+
+MAX_TERMS = 1 << 20  # = 4^10: the full factoring grid at n = 10
+
+
+def check_terms(count: int, what: str) -> None:
+    """The one term cap: every construction calls it, counting before it allocates."""
+    if count > MAX_TERMS:
+        raise ResourceCapError(f"{what} needs {count} terms, cap is {MAX_TERMS}")
 
 
 def _suffix_parity(a: int) -> int:

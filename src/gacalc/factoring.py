@@ -13,12 +13,14 @@ runs the NAND multiplier netlist on each blade and reads its product places,
 the fast route multiplies the decoded operands as host integers.
 
 ``factor_pipeline`` runs the full superposition.  Its faithful route builds
-the 4^n-term state and multiplies it blade by blade as above.  Its fast
+the 4^n-term state, held to ``core.MAX_TERMS`` terms (n <= 10), and
+multiplies it blade by blade as above.  Its fast
 route runs the same NAND netlist bitsliced: lane t of a plane is the term
 with x = t mod 2^n and y = t >> n, every gate acts on all 4^n lanes at once
 (:func:`gacalc.circuit.run_netlist_planes`), and the projection onto
 product = Z is an AND of the product planes, so the 4^n-term state is never
-built.  Only the surviving lanes become terms.
+built.  Only the surviving lanes become terms.  Its 4^n-bit planes are
+bounded by width, ``FAST_MAX_N``, not by a term count.
 """
 from __future__ import annotations
 
@@ -33,11 +35,10 @@ from .circuit import (
     run_netlist,
     run_netlist_planes,
 )
-from .core import Multivector, ResourceCapError
+from .core import Multivector, ResourceCapError, check_terms
 from .encoding import SubspaceLayout, encode_wide
 
-FAITHFUL_MAX_N = 10
-FAST_MAX_N = 12
+FAST_MAX_N = 12  # 4^12-bit planes: 385 MiB measured at n = 12
 
 ROUTES = ("faithful", "fast")
 
@@ -67,28 +68,23 @@ def _multiplier_for(n: int) -> Netlist:
     return build_nand_multiplier(n, a_places=a, b_places=b, first_free=3 * n)
 
 
-def _check_cap(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise ResourceCapError(
-            f"width {n} exceeds the configured cap {max_n} (4^n terms)"
-        )
-
-
 def build_factoring_superposition(
     fl: FactoringLayout,
     xs: Iterable[int] | None = None,
     ys: Iterable[int] | None = None,
-    max_n: int = FAST_MAX_N,
 ) -> Multivector:
     """Sum of ``coded0(x) coded1(y) coded2(y)`` over all operand pairs.
 
     Defaults to the full ranges x, y in [0, 2^n), i.e. 4^n terms with unit
     coefficients; restricted ranges give the corresponding sub-superposition.
+    Its |xs|·|ys| terms are checked against ``core.MAX_TERMS`` first.
     """
     n = fl.n
-    _check_cap(n, max_n)
     xs = range(1 << n) if xs is None else list(xs)
     ys = range(1 << n) if ys is None else list(ys)
+    # A full side counts 2^n by shift: len() of a range overflows past sys.maxsize.
+    count = lambda side: 1 << n if isinstance(side, range) else len(side)
+    check_terms(count(xs) * count(ys), "factoring superposition")
     x_sub, y1_sub, y2_sub = (fl.layout[name] for name in "012")
     terms = {}
     for y in ys:
@@ -177,14 +173,11 @@ def factor_pipeline(
     z: int,
     n: int,
     route: str = "fast",
-    max_n: int | None = None,
     keep_state: bool = False,
 ) -> dict:
     """Full pipeline for one target; returns divisors plus stage statistics."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-    if max_n is None:
-        max_n = FAITHFUL_MAX_N if route == "faithful" else FAST_MAX_N
     if z < 1:
         raise ValueError("target must be at least 1")
     if z >= 1 << n:
@@ -193,7 +186,10 @@ def factor_pipeline(
         )
     fl = FactoringLayout(n)
     if route == "fast":
-        _check_cap(n, max_n)
+        if n > FAST_MAX_N:
+            raise ResourceCapError(
+                f"width {n} exceeds the configured cap {FAST_MAX_N} (4^n terms)"
+            )
         terms_before = 4**n
         product, y_sub = encode_wide(z, "0", "1", fl.layout), fl.layout["2"]
         # For z >= 1 each divisor y has one x, so no two lanes share a term.
@@ -202,7 +198,7 @@ def factor_pipeline(
             {product | y_sub.encode(y): 1 for y in _plane_divisors(fl, z)},
         )
     else:
-        state = build_factoring_superposition(fl, max_n=max_n)
+        state = build_factoring_superposition(fl)
         terms_before = len(state)
         multiplied = multiply_all(fl, state, route=route)
         projected = project_product(fl, multiplied, z)

@@ -54,7 +54,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .core import Multivector, ResourceCapError, _accumulate, blade_mul
+from .core import Multivector, _accumulate, blade_mul, check_terms
 from .encoding import SubspaceLayout
 
 MOVES = ("L", "R")
@@ -254,20 +254,16 @@ def run_direct(spec: TMSpec, config: Config, max_steps: int) -> tuple[bool, int 
     return False, None
 
 
-def _all_config_codes(cells: int) -> list[int]:
-    return [
-        Config(tape, head, cells).code
-        for head in range(cells)
-        for tape in range(1 << cells)
-    ]
-
-
 class TruncationParams:
     """Finite bounds and enumerated sets for the probe, plus the slot layout.
 
     Slot subspaces are named by their index: "0" for the machine code, then
     per step i the quadruple str(4i+1)..str(4i+4).  ``slots[k]`` is the
     subspace of slot k, so per-term code reads slots by index, not by name.
+
+    The default configuration set, every ``tape | head << cells`` code, is
+    ``range(cells << cells)``: it is never enumerated unless iterated, so a
+    one-chain probe runs in O(steps) memory at any tape width.
     """
 
     def __init__(
@@ -277,7 +273,6 @@ class TruncationParams:
         cells: int,
         config_codes: Sequence[int] | None = None,
         state_codes: Sequence[int] | None = None,
-        term_cap: int = 500_000,
         reject_code: int = 0,
     ):
         if steps < 1:
@@ -293,20 +288,24 @@ class TruncationParams:
         self.machine_by_code = {m.code: m for m in machines}
         self.steps = steps
         self.cells = cells
+        # Every code below cells << cells fits, as cells <= 2^head_bits.
+        w_x = cells + (cells - 1).bit_length()
         if config_codes is None:
-            config_codes = _all_config_codes(cells)
+            # Counted by shift: len() of a range overflows past sys.maxsize.
+            self._config_count = cells << cells
+            self.config_codes = self._config_set = range(self._config_count)
+        else:
+            self.config_codes = tuple(config_codes)
+            self._config_set = frozenset(self.config_codes)
+            self._config_count = len(self.config_codes)
+            w_x = max(w_x, max(self.config_codes).bit_length())
         if state_codes is None:
             state_codes = list(range(max(m.num_states for m in machines)))
-        self.config_codes = tuple(config_codes)
         self.state_codes = tuple(state_codes)
-        self._config_set = frozenset(self.config_codes)
         self._state_set = frozenset(self.state_codes)
-        self.term_cap = term_cap
         self.reject_code = reject_code
 
-        head_bits = (cells - 1).bit_length()
         w_m = max(1, max(codes).bit_length())
-        w_x = max(1, cells + head_bits, max(self.config_codes).bit_length())
         # Output slots must fit every state a step can emit, not only the
         # enumerated input codes: any machine state plus the reject codes.
         w_s = max(
@@ -367,15 +366,11 @@ class TruncationParams:
 def build_free_superposition(params: TruncationParams) -> Multivector:
     """Every machine crossed with free per-step input choices, outputs empty.
 
-    Term count is |machines| * (|configs| * |states|)^steps, guarded by the
-    term cap.
+    Term count is |machines| * (|configs| * |states|)^steps, checked against
+    ``core.MAX_TERMS`` first.
     """
-    pairs = len(params.config_codes) * len(params.state_codes)
-    count = len(params.machines) * pairs**params.steps
-    if count > params.term_cap:
-        raise ResourceCapError(
-            f"free superposition needs {count} terms, cap is {params.term_cap}"
-        )
+    pairs = params._config_count * len(params.state_codes)
+    check_terms(len(params.machines) * pairs**params.steps, "free superposition")
     slots = params.slots
     terms = {}
     slot_pairs = []
@@ -494,16 +489,18 @@ def build_chained_superposition(
     ``params.step_codes``, which fills it.
     """
     if starts is None:
+        check_terms(
+            len(params.machines) * params._config_count * len(params.state_codes),
+            "chained superposition",
+        )
         starts = [
             (m.code, x, s)
             for m in params.machines
             for x in params.config_codes
             for s in params.state_codes
         ]
-    if len(starts) > params.term_cap:
-        raise ResourceCapError(
-            f"chained superposition needs {len(starts)} chains, cap is {params.term_cap}"
-        )
+    else:
+        check_terms(len(starts), "chained superposition")
     h, links = _links(params)
     machine, x_in, s_in = params.slots[:3]
     w_x = x_in.width
@@ -543,6 +540,24 @@ def build_chained_superposition(
     return Multivector._wrap(params.dimension, _accumulate(chains()))
 
 
+def _probe_chain(
+    spec: TMSpec, config: Config, steps: int, params: TruncationParams | None = None
+) -> tuple[Multivector, Multivector]:
+    """The one chain of (machine, input, start state) and its halt projection."""
+    if params is None:
+        params = TruncationParams([spec], steps, config.cells)
+    if params.steps != steps:
+        raise ValueError("params were built for a different step count")
+    if spec.code not in params.machine_by_code:
+        raise ValueError("machine is not part of the enumerated machine set")
+    if config.code not in params._config_set:
+        raise ValueError("input config is outside the enumerated set")
+    chain = build_chained_superposition(
+        params, starts=[(spec.code, config.code, spec.start)]
+    )
+    return chain, halt_project(chain, params)
+
+
 def bounded_halt_probe(
     spec: TMSpec,
     config: Config,
@@ -557,27 +572,10 @@ def bounded_halt_probe(
     chained (or free + consistency) construction; that equivalence is what
     the construction-equality tests pin down.
     """
-    if params is None:
-        params = TruncationParams([spec], steps, config.cells)
-    if params.steps != steps:
-        raise ValueError("params were built for a different step count")
-    if spec.code not in params.machine_by_code:
-        raise ValueError("machine is not part of the enumerated machine set")
-    if config.code not in params._config_set:
-        raise ValueError("input config is outside the enumerated set")
-    chain = build_chained_superposition(
-        params, starts=[(spec.code, config.code, spec.start)]
-    )
-    return not halt_project(chain, params).is_zero()
+    return not _probe_chain(spec, config, steps, params)[1].is_zero()
 
 
-def probe_report(
-    spec: TMSpec,
-    config: Config,
-    steps: int,
-    mode: str = "both",
-    term_cap: int = 500_000,
-) -> dict:
+def probe_report(spec: TMSpec, config: Config, steps: int, mode: str = "both") -> dict:
     """Run the blade probe and/or the direct simulation; report agreement."""
     if mode not in ("ga", "direct", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -589,11 +587,7 @@ def probe_report(
         "semantics": f"halts within {steps} steps (bounded probe)",
     }
     if mode in ("ga", "both"):
-        params = TruncationParams([spec], steps, config.cells, term_cap=term_cap)
-        chain = build_chained_superposition(
-            params, starts=[(spec.code, config.code, spec.start)]
-        )
-        kept = halt_project(chain, params)
+        chain, kept = _probe_chain(spec, config, steps)
         out["ga_halts_within_k"] = not kept.is_zero()
         out["chain_terms"] = len(chain)
         out["terms_after_halt_projection"] = len(kept)
@@ -629,7 +623,7 @@ def machine_from_dict(data: Mapping) -> TMSpec:
             reject=int(data["reject"]) if "reject" in data else None,
             name=str(data.get("name", "")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise MachineFormatError(f"bad machine description: {exc}") from None
     return TMSpec(transitions=transitions, **fields)
 

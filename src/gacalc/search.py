@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .core import Coefficient, Multivector
+from .core import Coefficient, Multivector, check_terms
 from .encoding import SubspaceLayout
 
 
@@ -64,9 +64,11 @@ def build_initial_state(elements: Iterable[int], sl: SearchLayout) -> Multivecto
     """Superpose ``coded(x) * (1 - e_flag)`` over every database element x.
 
     The range is checked once, on the smallest and largest value; every value
-    in between then fits, and is coded as ``x << offset`` directly.
+    in between then fits, and is coded as ``x << offset`` directly.  The two
+    terms per value are checked against ``core.MAX_TERMS`` first.
     """
     values = set(elements)
+    check_terms(2 * len(values), "search state")
     data = sl.layout["data"]
     if values:
         data.encode(min(values))

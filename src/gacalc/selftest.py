@@ -316,9 +316,7 @@ def _check_halting() -> list[PropertyResult]:
 
     # B = 2, the smallest tape here with a chain sign of -1, which the check requires.
     machines = [m for m in halting.bundled_machines() if m.name in ("bb1", "runner-right")]
-    params = halting.TruncationParams(
-        machines, steps=2, cells=2, state_codes=[0, 1], term_cap=100_000
-    )
+    params = halting.TruncationParams(machines, steps=2, cells=2, state_codes=[0, 1])
     stepped = halting.apply_all_steps(halting.build_free_superposition(params), params)
     free = halting.consistency_project(stepped, params)
     chained = halting.build_chained_superposition(params)

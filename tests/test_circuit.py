@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gacalc.circuit import (
     CollisionError,
@@ -455,6 +457,24 @@ class TestRelabelAndDiscard:
 
 
 class TestNetlistText:
+    _lines = st.tuples(
+        st.sampled_from(["INPUT", "OUTPUT", "NAND", "nand", "#", "FROB", ""]),
+        st.lists(
+            st.integers(-1, (1 << 16) - 1).map(str) | st.integers(0, 8).map(str)
+            | st.text(alphabet="0123456789x-. ", max_size=3),
+            max_size=4,
+        ),
+    ).map(lambda line: " ".join([line[0], *line[1]]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_lines, max_size=8).map("\n".join))
+    def test_parse_raises_only_validation_error(self, text):
+        try:
+            nl = parse_netlist(text)
+        except NetlistValidationError:
+            return
+        assert parse_netlist(format_netlist(nl)).gates == nl.gates
+
     def test_roundtrip(self):
         nl = build_nand_multiplier(2)
         again = parse_netlist(format_netlist(nl))

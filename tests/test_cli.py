@@ -1,13 +1,17 @@
 """CLI subcommands: results, formats, exit statuses, report stability."""
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gacalc.core
 from gacalc.circuit import load_memory, parse_netlist
-from gacalc.cli import main
+from gacalc.cli import UsageError, _parse_int_set, main
+from gacalc.core import MAX_TERMS, ResourceCapError
 
 from conftest import nand_fold
 
@@ -24,6 +28,17 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     return code, json.loads(out) if out else None, err
+
+
+def traced_run(capsys, *argv):
+    """``run`` plus the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, out, err, peak
 
 
 class TestSearch:
@@ -112,6 +127,55 @@ class TestSearch:
         assert peak < 1 << 20
 
 
+    def test_set_over_term_cap_rejected_before_expansion(self, capsys):
+        code, _, err, peak = traced_run(
+            capsys, "search", "--n", "40", "--set", "0..100000000", "--mod", "3:0"
+        )
+        assert code == 1
+        assert f"ResourceCapError: integer set needs 100000001 terms, cap is {MAX_TERMS}" in err
+        assert peak < 1 << 20
+
+
+class TestParseIntSet:
+    def test_count_includes_values_already_parsed(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match=f"needs {MAX_TERMS + 1} terms"):
+                _parse_int_set(f"5,0..{MAX_TERMS - 1}", 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    # Spans stay small or go over the cap, so an accepted set is small and
+    # the peak bound needs no allowance for it.
+    _range_tokens = st.builds(
+        lambda lo, span: f"{lo}..{lo + span}",
+        st.integers(-1, 2**64),
+        st.integers(-3, 64) | st.just(MAX_TERMS) | st.integers(MAX_TERMS, 2**65),
+    )
+    _tokens = st.integers(-2, 2**65).map(str) | _range_tokens | st.text(max_size=6)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        spec=st.lists(_tokens, max_size=6).map(",".join) | st.text(max_size=20),
+        width=st.integers(1, 64),
+    )
+    def test_returns_in_range_set_or_raises_cleanly(self, spec, width):
+        tracemalloc.start()
+        try:
+            try:
+                out = _parse_int_set(spec, width)
+            except (UsageError, ResourceCapError):
+                out = set()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) <= MAX_TERMS
+        assert all(0 <= v < 1 << width for v in out)
+        assert peak < 1 << 20
+
+
 class TestFactor:
     def test_91(self, capsys):
         code, report, _ = run_json(capsys, "factor", "--z", "91", "--n", "7")
@@ -160,15 +224,43 @@ class TestFactor:
         assert states[0] == states[1]
 
     @pytest.mark.parametrize(
-        "argv,cap", [(("--z", "1", "--n", "13"), 12), (("--z", "3", "--n", "5", "--max-n", "4"), 4)]
+        "argv,cap",
+        [
+            (("--z", "1", "--n", "13"), 12),
+            (("--z", "3", "--n", "11", "--route", "faithful"), MAX_TERMS),
+        ],
     )
     def test_width_cap_exits_1(self, capsys, argv, cap):
         code, _, err = run(capsys, "factor", *argv)
         assert code == 1
-        assert f"exceeds the configured cap {cap}" in err
+        assert re.search(rf"ResourceCapError: .* cap (is )?{cap}\b", err)
+
+
+    def test_faithful_width_64_is_counted_without_len(self, capsys):
+        # len(range(2^64)) raises OverflowError; the count is taken by shifts.
+        code, _, err = run(capsys, "factor", "--z", "3", "--n", "64", "--route", "faithful")
+        assert code == 1
+        assert "ResourceCapError" in err
 
 
 class TestHaltProbe:
+    def test_wide_tape_in_bounded_memory(self, capsys):
+        code, out, _, peak = traced_run(
+            capsys,
+            "halt-probe",
+            "--machine", str(MACHINES / "bb2.json"),
+            "--tape", "40",
+            "--head", "20",
+            "--steps", "6",
+            "--mode", "both",
+            "--format", "json",
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["agreement"] is True
+        assert result["chain_terms"] == 1
+        assert peak < 1 << 20
+
     def test_bb2_both_modes(self, capsys):
         code, report, _ = run_json(
             capsys,

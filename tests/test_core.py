@@ -1,17 +1,24 @@
 """Blade arithmetic against brute-force oracles and algebraic laws."""
+import argparse
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gacalc.cli import build_parser
 from gacalc.core import (
+    MAX_TERMS,
     DimensionMismatch,
     Multivector,
+    ResourceCapError,
     _accumulate,
     _numerators,
     blade_mul,
+    check_terms,
     from_records,
     grade,
     reorder_sign,
@@ -579,3 +586,69 @@ def test_repr_smoke():
     a = Multivector(4, {0: Fraction(1, 2), 0b11: -1, 0b1: 3})
     text = repr(a)
     assert "e1e2" in text and "1/2" in text
+
+
+SRC = Path(__file__).parent.parent / "src" / "gacalc"
+
+
+def test_check_terms_boundary():
+    check_terms(MAX_TERMS, "state")
+    message = f"^state needs {MAX_TERMS + 1} terms, cap is {MAX_TERMS}$"
+    with pytest.raises(ResourceCapError, match=message):
+        check_terms(MAX_TERMS + 1, "state")
+
+
+def _functions_where(found):
+    """``module.function`` of every node in ``src/gacalc`` for which ``found(node)``."""
+    hits = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else where
+            if found(child):
+                hits.add(f"{path.stem}.{inner}")
+            visit(child, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return hits
+
+
+def _names(node, name):
+    return isinstance(node, ast.Name) and node.id == name or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def test_one_term_cap_mechanism():
+    def raises_cap(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return _names(exc, "ResourceCapError")
+
+    # The bitsliced factoring route holds planes, not terms: a width limit.
+    assert _functions_where(raises_cap) == {"core.check_terms", "factoring.factor_pipeline"}
+    calls_check = _functions_where(
+        lambda node: isinstance(node, ast.Call) and _names(node.func, "check_terms")
+    )
+    assert calls_check == {
+        "cli._parse_int_set",
+        "search.build_initial_state",
+        "factoring.build_factoring_superposition",
+        "halting.build_free_superposition",
+        "halting.build_chained_superposition",
+    }
+
+
+def test_no_cap_options_on_the_cli():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        option
+        for p in (parser, *sub.choices.values())
+        for action in p._actions
+        for option in action.option_strings
+    }
+    assert "--steps" in options
+    assert not options & {"--max-n", "--term-cap", "--max-terms"}

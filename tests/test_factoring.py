@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gacalc.circuit import MemoryBlade, relabel_and_discard, run_netlist
-from gacalc.core import Multivector, ResourceCapError, to_records
+from gacalc.core import MAX_TERMS, Multivector, ResourceCapError, to_records
 from gacalc.encoding import decode, decode_wide, encode, encode_wide
 from gacalc.factoring import (
     ROUTES,
@@ -139,7 +139,7 @@ class TestSuperposition:
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
-            build_factoring_superposition(FactoringLayout(5), max_n=4)
+            build_factoring_superposition(FactoringLayout(11))
 
 
 class TestMultiplyAll:
@@ -324,11 +324,11 @@ class TestPipeline:
 
     def test_route_cap(self):
         with pytest.raises(ResourceCapError) as built:
-            build_factoring_superposition(FactoringLayout(6), max_n=5)
-        for route in ROUTES:
-            with pytest.raises(ResourceCapError) as piped:
-                factor_pipeline(3, 6, route=route, max_n=5)
-            assert str(piped.value) == str(built.value)
+            build_factoring_superposition(FactoringLayout(11))
+        with pytest.raises(ResourceCapError) as piped:
+            factor_pipeline(3, 11, route="faithful")
+        assert str(piped.value) == str(built.value)
+        assert str(built.value) == f"factoring superposition needs {4**11} terms, cap is {MAX_TERMS}"
 
     def test_readout_at_any_stage_is_nondestructive(self):
         fl = FactoringLayout(3)

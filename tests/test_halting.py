@@ -4,8 +4,10 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gacalc.core import Multivector, ResourceCapError, blade_mul, to_records
+from gacalc.core import MAX_TERMS, Multivector, ResourceCapError, blade_mul, to_records
 from gacalc.encoding import EncodingRangeError, encode
 from gacalc.halting import (
     Config,
@@ -203,6 +205,20 @@ class TestConfigCoding:
         with pytest.raises(ValueError):
             parse_tape("0000000", 6)
 
+    @settings(max_examples=300)
+    @given(
+        bits=st.text(alphabet="01", max_size=10) | st.text(max_size=4),
+        cells=st.integers(-2, 70),
+        head=st.integers(-2, 70),
+    )
+    def test_parse_tape_raises_only_value_error(self, bits, cells, head):
+        try:
+            config = parse_tape(bits, cells, head=head)
+        except ValueError:
+            return
+        assert (config.cells, config.head) == (cells, head)
+        assert [config.tape >> i & 1 for i in range(len(bits))] == [int(b) for b in bits]
+
 
 class TestStep:
     def test_halted_fixed_point(self):
@@ -312,8 +328,10 @@ class TestFreeConstruction:
             assert decode(mask, "2", layout) in params.state_codes
 
     def test_cap(self):
-        params = TruncationParams([CORPUS["bb1"]], steps=3, cells=3, term_cap=100)
-        with pytest.raises(ResourceCapError):
+        params = TruncationParams([CORPUS["bb1"]], steps=4, cells=3)
+        count = (3 * 8 * len(params.state_codes)) ** 4  # |M| (|X||S|)^K
+        assert count > MAX_TERMS
+        with pytest.raises(ResourceCapError, match=f"needs {count} terms, cap is {MAX_TERMS}"):
             build_free_superposition(params)
 
 
@@ -556,12 +574,36 @@ class TestConstructionEquivalence:
 class TestChainBuild:
     """The one-sign-scan chain build against the stepwise reference."""
 
+    def test_cap_checked_before_starts(self):
+        params = TruncationParams(list(CORPUS.values()), 2, 12)
+        count = len(CORPUS) * (12 << 12) * len(params.state_codes)
+        assert count > MAX_TERMS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match=f"needs {count} terms"):
+                build_chained_superposition(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 5])
+    def test_default_config_set_is_every_code(self, cells):
+        every = [Config(t, h, cells).code for h in range(cells) for t in range(1 << cells)]
+        default = TruncationParams(list(CORPUS.values()), 3, cells)
+        explicit = TruncationParams(list(CORPUS.values()), 3, cells, config_codes=every)
+        assert list(default.config_codes) == every
+        assert default.slots == explicit.slots
+        assert_same_terms(
+            build_chained_superposition(default), build_chained_superposition(explicit)
+        )
+
     @pytest.mark.parametrize("cells", range(1, 7))
     @pytest.mark.parametrize("steps", range(1, 9))
     def test_equals_stepwise_build(self, steps, cells):
         params = TruncationParams(list(CORPUS.values()), steps, cells)
         chain = build_chained_superposition(params)
-        assert len(chain) <= params.term_cap
+        assert len(chain) <= MAX_TERMS
         assert_same_terms(chain, stepwise_chains(params))
         if cells > 1:  # with one cell every chain sign is +1 at even K
             assert set(chain.terms.values()) == {1, -1}
@@ -684,6 +726,14 @@ class TestBoundedProbe:
                         direct, _ = run_direct(spec, config, steps)
                         assert ga == direct, (spec.name, cells, steps, config.code)
 
+    @pytest.mark.parametrize("cells", [40, 64, 200])
+    def test_wide_tape_agrees_with_direct_simulation(self, cells):
+        for spec in CORPUS.values():
+            config = Config(0b1011 << cells // 2, cells // 2, cells)
+            for steps in (1, 5, 8):
+                direct, _ = run_direct(spec, config, steps)
+                assert bounded_halt_probe(spec, config, steps) == direct
+
     def test_monotone_in_step_bound(self):
         for name in ("bb2", "seeker", "runner-right"):
             spec = CORPUS[name]
@@ -720,3 +770,52 @@ class TestFileFormat:
         path.write_text('{"states": 1}')
         with pytest.raises(MachineFormatError):
             load_machine(path)
+
+    # JSON values as ``json.load`` returns them; it reads Infinity and NaN.
+    _json = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 6) | st.integers() | st.floats()
+        | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    )
+    _odd = st.sampled_from([float("inf"), float("nan"), 2.5, "1", True])
+    _small = st.integers(-1, 4) | _odd | _json
+    _transition = st.fixed_dictionaries(
+        {},
+        optional={
+            "state": _small,
+            "read": _small,
+            "write": _small,
+            "move": st.sampled_from(["L", "R", "l", "x"]) | _json,
+            "next": _small,
+        },
+    )
+
+    def test_infinite_state_count(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"states": Infinity, "start": 0, "halt_states": [1], "transitions": []}')
+        with pytest.raises(MachineFormatError, match="infinity"):
+            load_machine(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "states": _small,
+                "start": _small,
+                "halt_states": st.lists(_small, max_size=3) | _json,
+                "reject": _small,
+                "name": _json,
+                "transitions": st.lists(_transition, max_size=6) | _json,
+            },
+        )
+        | _json
+    )
+    def test_machine_from_dict_raises_only_format_error(self, data):
+        try:
+            spec = machine_from_dict(data)
+        except MachineFormatError:
+            return
+        assert machine_from_dict(machine_to_dict(spec)).code == spec.code
