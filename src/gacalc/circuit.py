@@ -397,11 +397,14 @@ def parse_netlist(text: str) -> Netlist:
     """Parse the text format written by :func:`format_netlist`.
 
     Lines starting with ``#`` are comments; each INPUT/OUTPUT line declares
-    one operand group, least significant place first.
+    one operand group, least significant place first.  Every place must be
+    below the count of input places, gates and output places, which bounds
+    the memory that validation and the runs spend on a place.
     """
     gates: list[NandGate] = []
     input_groups: list[list[int]] = []
     output_groups: list[list[int]] = []
+    widest = (-1, 0)  # (largest place, its line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -412,6 +415,7 @@ def parse_netlist(text: str) -> Netlist:
             places = [int(a) for a in args]
         except ValueError as exc:
             raise NetlistValidationError(f"line {lineno}: {exc}") from None
+        widest = max(widest, (max(places, default=-1), lineno))
         if kind == "INPUT":
             input_groups.append(places)
         elif kind == "OUTPUT":
@@ -425,6 +429,12 @@ def parse_netlist(text: str) -> Netlist:
         else:
             raise NetlistValidationError(f"line {lineno}: unknown directive {kind!r}")
     nl = Netlist(gates, input_groups, output_groups)
+    bound = len(nl.inputs) + len(gates) + len(nl.outputs)
+    if widest[0] >= bound:
+        raise NetlistValidationError(
+            f"line {widest[1]}: place {widest[0]} is not below {bound},"
+            " the count of input places, gates and output places"
+        )
     nl.validate()
     return nl
 

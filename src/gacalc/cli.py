@@ -91,8 +91,7 @@ def cmd_search(args: argparse.Namespace) -> RunReport:
     start = time.perf_counter()
     sl = search.SearchLayout(args.n)
     oracle = search.MembershipOracle(predicate)
-    state = search.build_initial_state(elements, sl)
-    kept = search.half_difference_filter(oracle, state, sl)
+    kept = search.filter_marked(oracle, elements, sl)
     matches = search.extract_matches(kept, sl)
     elapsed = time.perf_counter() - start
     return RunReport(
@@ -102,7 +101,7 @@ def cmd_search(args: argparse.Namespace) -> RunReport:
         counters={
             "oracle_op_count": oracle.op_count,
             "oracle_eval_count": oracle.eval_count,
-            "terms_before": len(state),
+            "terms_before": 2 * len(elements),
             "terms_after": len(kept),
         },
         wall_time_s=elapsed,

@@ -17,11 +17,17 @@ otherwise.  With s[m] the state's coefficient on blade m, the filter
 ``lo`` and ``-d/2`` on ``lo | flag`` with ``d = s[lo] - s[lo | flag]``.
 ``half_difference_filter`` computes exactly that, one pair at a time,
 without building O(s) or the difference.
+
+On a database state every pair holds ``s[lo] = 1`` and ``s[lo | flag] = -1``,
+so d = 2 and the pair becomes ``1, -1`` on a marked x and cancels otherwise:
+(S - O(S)) / 2 is ``{lo: 1, lo | flag: -1}`` for each marked x and nothing
+else.  ``filter_marked`` writes exactly that from the values, one predicate
+call per value, without building S.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from .core import Coefficient, Multivector, check_terms
 from .encoding import SubspaceLayout
@@ -44,6 +50,11 @@ class MembershipOracle:
         self.eval_count += 1
         return 1 if self._f(x) else 0
 
+    def marked(self, values: Collection[int]) -> list[int]:
+        """The values with f(x) = 1, in iteration order; one evaluation each."""
+        self.eval_count += len(values)
+        return list(filter(self._f, values))
+
 
 class SearchLayout:
     """n data dimensions plus the oracle flag dimension at index n."""
@@ -60,26 +71,36 @@ class SearchLayout:
         return self.layout.total_dim
 
 
-def build_initial_state(elements: Iterable[int], sl: SearchLayout) -> Multivector:
-    """Superpose ``coded(x) * (1 - e_flag)`` over every database element x.
+def _database_values(elements: Iterable[int], sl: SearchLayout) -> set[int]:
+    """The distinct database values, checked before any term is built.
 
+    The two terms per value are checked against ``core.MAX_TERMS`` first.
     The range is checked once, on the smallest and largest value; every value
-    in between then fits, and is coded as ``x << offset`` directly.  The two
-    terms per value are checked against ``core.MAX_TERMS`` first.
+    in between then fits, and is coded as ``x << offset`` directly.
     """
     values = set(elements)
     check_terms(2 * len(values), "search state")
-    data = sl.layout["data"]
     if values:
+        data = sl.layout["data"]
         data.encode(min(values))
         data.encode(max(values))
-    offset, flag = data.offset, 1 << sl.oracle_dim
+    return values
+
+
+def _pair_state(values: Iterable[int], sl: SearchLayout) -> Multivector:
+    """``coded(x) * (1 - e_flag)`` summed over already checked values."""
+    offset, flag = sl.layout["data"].offset, 1 << sl.oracle_dim
     terms: dict[int, int] = {}
     for x in values:
         mask = x << offset
         terms[mask] = 1
         terms[mask | flag] = -1
     return Multivector._raw(sl.dimension, terms)
+
+
+def build_initial_state(elements: Iterable[int], sl: SearchLayout) -> Multivector:
+    """Superpose ``coded(x) * (1 - e_flag)`` over every database element x."""
+    return _pair_state(_database_values(elements, sl), sl)
 
 
 def apply_oracle(oracle: MembershipOracle, state: Multivector, sl: SearchLayout) -> Multivector:
@@ -143,8 +164,16 @@ def half_difference_filter(oracle: MembershipOracle, state: Multivector, sl: Sea
 
 
 def filter_marked(oracle: MembershipOracle, elements: Iterable[int], sl: SearchLayout) -> Multivector:
-    """Build the database state and keep its marked part."""
-    return half_difference_filter(oracle, build_initial_state(elements, sl), sl)
+    """The marked part of the database state; one oracle-operator application.
+
+    Equal to ``half_difference_filter(oracle, build_initial_state(elements,
+    sl), sl)``, counters and errors included, but written straight from the
+    values: f is evaluated once per distinct value and each marked x gets
+    ``lo -> 1``, ``lo | flag -> -1``.  The database state is never built.
+    """
+    values = _database_values(elements, sl)
+    oracle.op_count += 1
+    return _pair_state(oracle.marked(values), sl)
 
 
 def extract_matches(state: Multivector, sl: SearchLayout) -> set[int]:
@@ -154,7 +183,7 @@ def extract_matches(state: Multivector, sl: SearchLayout) -> set[int]:
 
 
 def run_search(elements: Iterable[int], f: Callable[[int], int], n: int) -> tuple[set[int], MembershipOracle]:
-    """Full pipeline: initial state, one filtered oracle pass, readout."""
+    """Full pipeline: one filtered oracle pass over the values, then the readout."""
     sl = SearchLayout(n)
     oracle = MembershipOracle(f)
     kept = filter_marked(oracle, elements, sl)

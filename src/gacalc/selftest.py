@@ -202,6 +202,21 @@ def _check_oracle_search() -> list[PropertyResult]:
         if oracle.eval_count != len({m & ~flag for m in state.masks()}):
             ok = False
     out.append(PropertyResult("oracle-search", "filter-matches-operator-difference", ok))
+
+    ok = True
+    for _ in range(30):
+        elements = rng.sample(range(64), rng.randint(0, 40))
+        marked = set(rng.sample(range(64), rng.randint(0, 40)))
+        fused = search.MembershipOracle(marked.__contains__)
+        reference = search.MembershipOracle(marked.__contains__)
+        got = search.filter_marked(fused, elements, sl)
+        want = search.half_difference_filter(
+            reference, search.build_initial_state(elements, sl), sl
+        )
+        counts = {(o.op_count, o.eval_count) for o in (fused, reference)}
+        if core.to_records(got) != core.to_records(want) or counts != {(1, len(elements))}:
+            ok = False
+    out.append(PropertyResult("oracle-search", "fused-filter-matches-reference", ok))
     return out
 
 

@@ -30,6 +30,7 @@ from gacalc.circuit import (
     run_netlist_planes,
 )
 from gacalc.core import Multivector
+from gacalc.factoring import _multiplier_for
 
 from conftest import boolean_eval, nand_fold
 
@@ -248,12 +249,12 @@ class TestRunNetlistMatchesNandFold:
                 assert run_netlist(nl, mem) == nand_fold(nl, mem)
 
     def test_sparse_text_runs_in_bounded_memory(self):
+        # Built directly: netlist text is bounded to places below its size.
         base = 1 << 20
-        lines = [f"INPUT {base} {base + 1}", f"OUTPUT {base + 201}"]
-        lines += [f"NAND {base + k} {base + k + 1} {base + k + 2}" for k in range(200)]
+        gates = [NandGate(base + k, base + k + 1, base + k + 2) for k in range(200)]
         tracemalloc.start()
         try:
-            nl = parse_netlist("\n".join(lines))
+            nl = Netlist(gates, [[base, base + 1]], [[base + 201]])
             out = run_netlist(nl, load_memory(nl, [0b11]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -460,7 +461,7 @@ class TestNetlistText:
     _lines = st.tuples(
         st.sampled_from(["INPUT", "OUTPUT", "NAND", "nand", "#", "FROB", ""]),
         st.lists(
-            st.integers(-1, (1 << 16) - 1).map(str) | st.integers(0, 8).map(str)
+            st.integers(-1, (1 << 64) - 1).map(str) | st.integers(0, 8).map(str)
             | st.text(alphabet="0123456789x-. ", max_size=3),
             max_size=4,
         ),
@@ -474,6 +475,39 @@ class TestNetlistText:
         except NetlistValidationError:
             return
         assert parse_netlist(format_netlist(nl)).gates == nl.gates
+
+    @pytest.mark.parametrize(
+        "text", ["INPUT 0\nINPUT 1\nNAND 0 1 67108864\n", "INPUT 1099511627776\n"]
+    )
+    def test_place_beyond_size_rejected_before_memory(self, text):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NetlistValidationError, match="is not below"):
+                parse_netlist(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "make, widest, bound",
+        [
+            (lambda: parse_netlist((NETLISTS / "mult3.nand").read_text()), 65, 72),
+            (lambda: _multiplier_for(12), 1463, 1476),
+        ],
+        ids=["mult3.nand", "multiplier-12"],
+    )
+    def test_bundled_and_generated_netlists_fit(self, make, widest, bound):
+        nl = make()
+        places = nl.inputs + nl.outputs + [p for g in nl.gates for p in (g.p, g.q, g.r)]
+        assert (max(places), len(nl.inputs) + len(nl.gates) + len(nl.outputs)) == (widest, bound)
+        assert parse_netlist(format_netlist(nl)).gates == nl.gates
+
+    def test_place_at_size_rejected(self):
+        # INPUT 0, INPUT 1, one gate, no outputs: places must be below 3.
+        assert parse_netlist("INPUT 0\nINPUT 1\nNAND 0 1 2\n").gates == [NandGate(0, 1, 2)]
+        with pytest.raises(NetlistValidationError, match="line 3: place 3 is not below 3"):
+            parse_netlist("INPUT 0\nINPUT 1\nNAND 0 1 3\n")
 
     def test_roundtrip(self):
         nl = build_nand_multiplier(2)

@@ -1,7 +1,9 @@
 """CLI subcommands: results, formats, exit statuses, report stability."""
+import io
 import json
 import re
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -134,6 +136,66 @@ class TestSearch:
         assert code == 1
         assert f"ResourceCapError: integer set needs 100000001 terms, cap is {MAX_TERMS}" in err
         assert peak < 1 << 20
+
+
+class TestSearchArgv:
+    """``search`` end to end over argv, malformed and out-of-range ones included."""
+
+    # Small values fit most widths; spans stay small or go over the cap, as
+    # in TestParseIntSet.
+    _values = st.integers(0, 40) | st.integers(-2, 1 << 25)
+    _tokens = (
+        _values.map(str)
+        | st.builds(
+            lambda lo, span: f"{lo}..{lo + span}",
+            _values,
+            st.integers(-3, 40) | st.integers(MAX_TERMS, 1 << 26),
+        )
+        | st.text(alphabet="0123456789.,-x :", max_size=6)
+    )
+    _specs = st.lists(_tokens, max_size=5).map(",".join)
+    _predicates = st.one_of(
+        st.builds(lambda spec: ["--marked=" + spec], _specs),
+        st.builds(lambda a, b: [f"--mod={a}:{b}"], st.integers(-3, 9), st.integers(-2, 9)),
+        st.builds(lambda t: ["--mod=" + t], st.text(alphabet="0123456789:-x", max_size=5)),
+        st.just([]),
+        st.just(["--marked=1", "--mod=2:0"]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(-2, 24), spec=_specs, predicate=_predicates)
+    def test_exits_cleanly_and_matches_brute_force(self, n, spec, predicate):
+        argv = ["search", f"--n={n}", f"--set={spec}", *predicate, "--format", "json"]
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the argv itself
+                    code = exc.code
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert peak < 8 << 20
+        if code != 0:
+            return
+        report = json.loads(out)
+        elements = _parse_int_set(spec, n)
+        option, _, value = predicate[0].partition("=")
+        if option == "--marked":
+            marked = _parse_int_set(value, n)
+            want = {x for x in elements if x in marked}
+        else:
+            a, b = map(int, value.split(":"))
+            want = {x for x in elements if x % a == b}
+        assert report["result"]["matches"] == sorted(want)
+        assert report["counters"]["terms_before"] == 2 * len(elements)
+        assert report["counters"]["oracle_eval_count"] == len(elements)
+        assert report["counters"]["oracle_op_count"] == 1
 
 
 class TestParseIntSet:

@@ -634,7 +634,7 @@ def test_one_term_cap_mechanism():
     )
     assert calls_check == {
         "cli._parse_int_set",
-        "search.build_initial_state",
+        "search._database_values",
         "factoring.build_factoring_superposition",
         "halting.build_free_superposition",
         "halting.build_chained_superposition",

@@ -227,6 +227,80 @@ class TestFusedFilter:
         assert oracle.op_count == 0
 
 
+@st.composite
+def database_cases(draw):
+    """A width, a value set (edges included at will) and a 0/1 predicate."""
+    n = draw(st.integers(1, 12))
+    top = (1 << n) - 1
+    values = draw(st.sets(st.integers(0, top), max_size=40))
+    values |= {v for v, keep in ((0, draw(st.booleans())), (top, draw(st.booleans()))) if keep}
+    kind = draw(st.sampled_from(["zero", "one", "set", "mod"]))
+    if kind == "zero":
+        f = lambda x: 0
+    elif kind == "one":
+        f = lambda x: 1
+    elif kind == "set":
+        f = draw(st.sets(st.integers(0, top), max_size=20)).__contains__
+    else:
+        a = draw(st.integers(1, 9))
+        b = draw(st.integers(-1, 9))
+        f = lambda x: x % a == b
+    return n, values, f
+
+
+def duplicated(values, rng):
+    """The values as a shuffled list in which some appear more than once."""
+    out = list(values) + [v for v in values if rng.random() < 0.5]
+    rng.shuffle(out)
+    return out
+
+
+class TestOnePassFilter:
+    """``filter_marked`` against the reference pair built in full."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(database_cases(), st.sampled_from(["list", "generator"]), st.randoms())
+    def test_equals_reference_pair(self, case, form, rng):
+        n, values, f = case
+        sl = SearchLayout(n)
+        listed = duplicated(values, rng)
+        elements = (lambda: iter(listed)) if form == "generator" else (lambda: listed)
+        fused, reference = MembershipOracle(f), MembershipOracle(f)
+        got = filter_marked(fused, elements(), sl)
+        want = half_difference_filter(reference, build_initial_state(elements(), sl), sl)
+        assert to_records(got) == to_records(want)
+        assert got.terms == want.terms
+        assert all(type(c) is int for c in got.terms.values())
+        assert (fused.op_count, fused.eval_count) == (1, len(values))
+        assert (reference.op_count, reference.eval_count) == (1, len(values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.sets(st.integers(0, 1 << 12), max_size=8),
+        st.integers(-(1 << 13), -1) | st.integers(1 << 12, 1 << 70),
+    )
+    def test_same_error_before_any_count(self, n, values, bad):
+        sl = SearchLayout(n)
+        elements = sorted(v for v in values if v >> n == 0) + [bad]
+        errors = []
+        for run in (
+            lambda o: filter_marked(o, elements, sl),
+            lambda o: half_difference_filter(o, build_initial_state(iter(elements), sl), sl),
+        ):
+            oracle = MembershipOracle(lambda x: 1)
+            with pytest.raises(EncodingRangeError) as info:
+                run(oracle)
+            assert (oracle.op_count, oracle.eval_count) == (0, 0)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
+    def test_marked_counts_every_value_once(self):
+        oracle = MembershipOracle(lambda x: x % 3 == 0)
+        assert oracle.marked([3, 4, 6, 7]) == [3, 6]
+        assert (oracle.op_count, oracle.eval_count) == (0, 4)
+
+
 class TestExtractMatches:
     def test_zero_state(self):
         sl = SearchLayout(3)
