@@ -23,7 +23,7 @@ order over their gates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Mapping
 
 from .core import Coefficient, Multivector, _accumulate, blade_mul, reorder_sign
@@ -55,9 +55,6 @@ class MemoryBlade:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-
-    def as_multivector(self, dimension: int) -> Multivector:
-        return Multivector.blade(dimension, self.mask, self.sign)
 
 
 @dataclass(frozen=True)
@@ -96,21 +93,20 @@ def nand_apply(gate: NandGate, memory: MemoryBlade) -> MemoryBlade:
     return MemoryBlade(mask, memory.sign * sign)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Netlist:
     """Ordered NAND gates over declared input/output place groups.
 
-    Each input (output) group is one operand: an ordered list of places,
-    least significant first.  Gates must write distinct, non-input places and
-    may only read inputs or earlier gate outputs.
+    Each input (output) group is one operand: a tuple of places, least
+    significant first.  Gates must write distinct, non-input places and may
+    only read inputs or earlier gate outputs.  A netlist is checked and
+    compiled to its ``(p, q, r)`` program once, when it is built, and cannot
+    be changed afterwards; every run reads that one program.
     """
 
-    gates: list[NandGate]
-    input_groups: list[list[int]]
-    output_groups: list[list[int]]
-    _checked: bool = field(default=False, repr=False, compare=False)
-    _targets: int = field(default=0, repr=False, compare=False)
-    _program: tuple[tuple[int, int, int], ...] = field(default=(), repr=False, compare=False)
+    gates: tuple[NandGate, ...]
+    input_groups: tuple[tuple[int, ...], ...]
+    output_groups: tuple[tuple[int, ...], ...]
 
     @property
     def inputs(self) -> list[int]:
@@ -120,9 +116,11 @@ class Netlist:
     def outputs(self) -> list[int]:
         return [p for group in self.output_groups for p in group]
 
-    def validate(self) -> None:
-        if self._checked:
-            return
+    def __post_init__(self):
+        gates = tuple(self.gates)
+        object.__setattr__(self, "gates", gates)
+        for name in ("input_groups", "output_groups"):
+            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
         inputs = self.inputs
         for kind, places in (("INPUT", inputs), ("OUTPUT", self.outputs)):
             for place in places:
@@ -134,7 +132,7 @@ class Netlist:
         known = set(input_set)
         written: set[int] = set()
         targets = 0
-        for idx, g in enumerate(self.gates):
+        for idx, g in enumerate(gates):
             for operand in (g.p, g.q):
                 if operand not in known:
                     raise NetlistValidationError(
@@ -152,13 +150,17 @@ class Netlist:
             written.add(g.r)
             known.add(g.r)
             targets |= 1 << g.r
-        self._targets = targets
-        self._program = tuple((g.p, g.q, g.r) for g in self.gates)
-        self._checked = True
+        object.__setattr__(self, "_targets", targets)
+        object.__setattr__(self, "_program", tuple((g.p, g.q, g.r) for g in gates))
 
-    def ancilla_places(self) -> set[int]:
-        """Gate-written places that are not declared outputs."""
-        return {g.r for g in self.gates} - set(self.outputs)
+
+def _refuse_occupied_targets(
+    netlist: Netlist, occupied: Callable[[int], int], where: str
+) -> None:
+    """Raise on the first gate target, in gate order, that ``occupied`` reports set."""
+    for _, _, r in netlist._program:
+        if occupied(r):
+            raise TargetOccupiedError(f"target place {r} is not empty in the initial {where}")
 
 
 def run_netlist(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
@@ -170,14 +172,9 @@ def run_netlist(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
     and each write adds to P the earlier writes minus those above r, which
     holds for writes in any place order.
     """
-    netlist.validate()
     start = memory.mask
     if start & netlist._targets:
-        for g in netlist.gates:
-            if bit_read(memory, g.r):
-                raise TargetOccupiedError(
-                    f"target place {g.r} is not empty in the initial memory"
-                )
+        _refuse_occupied_targets(netlist, lambda r: start >> r & 1, "memory")
     mask = start
     count = below = 0
     for p, q, r in netlist._program:
@@ -200,21 +197,17 @@ def run_netlist_planes(
     last read unless it is an output.  Returns the output places' planes; an
     output that no gate writes reads as the zero plane.
     """
-    netlist.validate()
-    for place, plane in planes.items():
-        if plane and netlist._targets >> place & 1:
-            raise TargetOccupiedError(
-                f"target place {place} is not empty in the initial planes"
-            )
+    _refuse_occupied_targets(netlist, lambda r: planes.get(r, 0), "planes")
+    program = netlist._program
     full = (1 << lanes) - 1
     outputs = set(netlist.outputs)
     last_read = {}
-    for idx, g in enumerate(netlist.gates):
-        last_read[g.p] = last_read[g.q] = idx
+    for idx, (p, q, _) in enumerate(program):
+        last_read[p] = last_read[q] = idx
     wires = dict(planes)
-    for idx, g in enumerate(netlist.gates):
-        wires[g.r] = full ^ (wires.get(g.p, 0) & wires.get(g.q, 0))
-        for place in (g.p, g.q):
+    for idx, (p, q, r) in enumerate(program):
+        wires[r] = full ^ (wires.get(p, 0) & wires.get(q, 0))
+        for place in (p, q):
             if last_read[place] == idx and place not in outputs:
                 wires.pop(place, None)
     return {place: wires.get(place, 0) for place in netlist.outputs}
@@ -428,15 +421,13 @@ def parse_netlist(text: str) -> Netlist:
             gates.append(NandGate(*places))
         else:
             raise NetlistValidationError(f"line {lineno}: unknown directive {kind!r}")
-    nl = Netlist(gates, input_groups, output_groups)
-    bound = len(nl.inputs) + len(gates) + len(nl.outputs)
+    bound = sum(map(len, input_groups)) + len(gates) + sum(map(len, output_groups))
     if widest[0] >= bound:
         raise NetlistValidationError(
             f"line {widest[1]}: place {widest[0]} is not below {bound},"
             " the count of input places, gates and output places"
         )
-    nl.validate()
-    return nl
+    return Netlist(gates, input_groups, output_groups)
 
 
 def load_memory(netlist: Netlist, values: Iterable[int]) -> MemoryBlade:

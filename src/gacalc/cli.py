@@ -34,11 +34,14 @@ class RunReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _parse_int_set(spec: str, width: int) -> set[int]:
+def _parse_int_set(
+    spec: str, width: int, terms_per_value: int = 1, what: str = "integer set"
+) -> set[int]:
     """Comma-separated integers and inclusive ``a..b`` ranges in [0, 2^width).
 
-    Each value and range end, and the size against ``core.MAX_TERMS``, is
-    checked before any range is expanded.  A malformed spec is a UsageError.
+    Each value and range end, and the size against ``core.MAX_TERMS`` at
+    ``terms_per_value`` terms per value, is checked before any range is
+    expanded.  A malformed spec is a UsageError.
     """
     out: set[int] = set()
     for token in spec.split(","):
@@ -56,7 +59,7 @@ def _parse_int_set(spec: str, width: int) -> set[int]:
                 raise UsageError(f"{value} outside [0, 2^{width})")
         if hi < lo:
             raise UsageError(f"empty range {token!r}")
-        core.check_terms(len(out) + hi - lo + 1, "integer set")
+        core.check_terms(terms_per_value * (len(out) + hi - lo + 1), what)
         out.update(range(lo, hi + 1))
     return out
 
@@ -65,7 +68,8 @@ def cmd_search(args: argparse.Namespace) -> RunReport:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     try:
-        elements = _parse_int_set(args.set, args.n)
+        # The search state holds two terms per value: refuse it before expansion.
+        elements = _parse_int_set(args.set, args.n, 2, "search state")
     except ValueError as exc:
         raise UsageError(f"bad --set value: {exc}") from None
     if (args.marked is None) == (args.mod is None):
@@ -89,10 +93,7 @@ def cmd_search(args: argparse.Namespace) -> RunReport:
         predicate_desc = {"kind": "mod", "a": a, "b": b}
 
     start = time.perf_counter()
-    sl = search.SearchLayout(args.n)
-    oracle = search.MembershipOracle(predicate)
-    kept = search.filter_marked(oracle, elements, sl)
-    matches = search.extract_matches(kept, sl)
+    matches, oracle = search.run_search(elements, predicate, args.n)
     elapsed = time.perf_counter() - start
     return RunReport(
         command="search",
@@ -102,7 +103,7 @@ def cmd_search(args: argparse.Namespace) -> RunReport:
             "oracle_op_count": oracle.op_count,
             "oracle_eval_count": oracle.eval_count,
             "terms_before": 2 * len(elements),
-            "terms_after": len(kept),
+            "terms_after": 2 * len(matches),  # one written pair per marked value
         },
         wall_time_s=elapsed,
     )

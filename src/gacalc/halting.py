@@ -52,6 +52,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .core import Multivector, _accumulate, blade_mul, check_terms
@@ -116,6 +117,7 @@ class TMSpec:
     states.  ``reject`` is the halt state used by the totalization
     conventions.  ``code`` packs the table rows (write bit, move bit, next
     state) in state-major, symbol-minor order, first row in the lowest bits.
+    The table is a read-only view, so ``code`` cannot go stale.
     """
 
     def __init__(
@@ -131,7 +133,7 @@ class TMSpec:
         self.num_states = num_states
         self.start = start
         self.halt_states = frozenset(halt_states)
-        self.transitions = dict(transitions)
+        self.transitions = MappingProxyType(dict(transitions))
         if not self.halt_states:
             raise MachineFormatError("at least one halt state is required")
         self.reject = min(self.halt_states) if reject is None else reject

@@ -1,6 +1,7 @@
 """NAND memory semantics, netlist execution and the gate-level multiplier."""
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +40,11 @@ NETLISTS = Path(__file__).parent.parent / "src" / "gacalc" / "netlists"
 
 def mask_of(bits: dict[int, int]) -> int:
     return sum(1 << p for p, v in bits.items() if v)
+
+
+def as_multivector(memory: MemoryBlade, dimension: int) -> Multivector:
+    """The memory blade as a signed one-term multivector."""
+    return Multivector.blade(dimension, memory.mask, memory.sign)
 
 
 # --- corpus of small netlists -------------------------------------------------
@@ -149,8 +155,8 @@ class TestNandApply:
             mem = MemoryBlade(context | pv << p | qv << q)
             both = pv & qv
             op = Multivector(dim, {0: both, 1 << r: 1 - both})
-            expected = op * mem.as_multivector(dim)
-            assert nand_apply(NandGate(p, q, r), mem).as_multivector(dim) == expected
+            expected = op * as_multivector(mem, dim)
+            assert as_multivector(nand_apply(NandGate(p, q, r), mem), dim) == expected
 
 
 class TestRunNetlist:
@@ -172,7 +178,6 @@ class TestRunNetlist:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_corpus_matches_boolean_eval(self, name):
         nl = CORPUS[name]()
-        nl.validate()
         widths = [len(g) for g in nl.input_groups]
         total_bits = sum(widths)
         assert total_bits <= 10
@@ -317,9 +322,9 @@ class TestRunNetlistPlanes:
         )
 
     def test_invalid_netlist_rejected(self):
-        nl = Netlist([NandGate(0, 5, 2)], [[0], [1]], [[2]])
+        # Refused when built, so no run, planes or per blade, ever sees it.
         with pytest.raises(NetlistValidationError, match="reads place 5"):
-            run_netlist_planes(nl, {0: 0b10, 1: 0b11}, 2)
+            Netlist([NandGate(0, 5, 2)], [[0], [1]], [[2]])
 
     def test_unwritten_top_product_place_reads_zero(self):
         nl = build_nand_multiplier(1)
@@ -333,19 +338,16 @@ class TestRunNetlistPlanes:
 
 class TestNetlistValidation:
     def test_write_twice(self):
-        nl = Netlist([NandGate(0, 1, 2), NandGate(0, 1, 2)], [[0], [1]], [[2]])
         with pytest.raises(NetlistValidationError, match="#1.*twice"):
-            nl.validate()
+            Netlist([NandGate(0, 1, 2), NandGate(0, 1, 2)], [[0], [1]], [[2]])
 
     def test_write_into_input(self):
-        nl = Netlist([NandGate(0, 0, 1)], [[0], [1]], [[1]])
         with pytest.raises(NetlistValidationError, match="input place"):
-            nl.validate()
+            Netlist([NandGate(0, 0, 1)], [[0], [1]], [[1]])
 
     def test_read_before_write(self):
-        nl = Netlist([NandGate(0, 5, 2)], [[0], [1]], [[2]])
         with pytest.raises(NetlistValidationError, match="reads place 5"):
-            nl.validate()
+            Netlist([NandGate(0, 5, 2)], [[0], [1]], [[2]])
 
     def test_negative_input_place(self):
         # No gate reads place -3, so only the declaration can catch it.
@@ -355,6 +357,31 @@ class TestNetlistValidation:
     def test_negative_output_place(self):
         with pytest.raises(NetlistValidationError, match="OUTPUT place -3 is negative"):
             parse_netlist("INPUT 0\nINPUT 1\nOUTPUT 2 -3\nNAND 0 1 2\n")
+
+
+class TestNetlistIsFrozen:
+    """A built netlist is its one compiled program: nothing can change it."""
+
+    def test_changes_raise(self):
+        nl = half_adder()
+        gates = nl.gates
+        with pytest.raises(FrozenInstanceError):
+            nl.gates = gates[:-1]
+        with pytest.raises(FrozenInstanceError):
+            nl._program = ()
+        with pytest.raises(AttributeError):
+            nl.gates.append(NandGate(0, 1, 99))
+        with pytest.raises(AttributeError):
+            nl.output_groups[0].pop()
+        assert nl.gates == gates and half_adder() == nl
+
+    def test_lists_are_stored_as_tuples(self):
+        gates, inputs, outputs = [NandGate(0, 1, 2)], [[0], [1]], [[2]]
+        nl = Netlist(gates, inputs, outputs)
+        gates.append(NandGate(0, 2, 3))
+        outputs[0].append(3)
+        assert nl == Netlist((NandGate(0, 1, 2),), ((0,), (1,)), ((2,),))
+        assert run_netlist(nl, load_memory(nl, [1, 1])).mask == 0b011
 
 
 class TestMultiplier:
@@ -388,11 +415,11 @@ class TestMultiplier:
 
     def test_write_once_discipline(self):
         for n in (1, 2, 3, 5):
-            build_nand_multiplier(n).validate()
+            build_nand_multiplier(n)  # checked when built; raises on a violation
 
     def test_ancillas_are_fresh_per_gate(self):
         nl = build_nand_multiplier(3)
-        ancillas = nl.ancilla_places()
+        ancillas = {g.r for g in nl.gates} - set(nl.outputs)
         assert ancillas.isdisjoint(nl.inputs)
         assert ancillas.isdisjoint(nl.outputs)
         # every gate writes a distinct place (write-once temporaries)
@@ -505,7 +532,7 @@ class TestNetlistText:
 
     def test_place_at_size_rejected(self):
         # INPUT 0, INPUT 1, one gate, no outputs: places must be below 3.
-        assert parse_netlist("INPUT 0\nINPUT 1\nNAND 0 1 2\n").gates == [NandGate(0, 1, 2)]
+        assert parse_netlist("INPUT 0\nINPUT 1\nNAND 0 1 2\n").gates == (NandGate(0, 1, 2),)
         with pytest.raises(NetlistValidationError, match="line 3: place 3 is not below 3"):
             parse_netlist("INPUT 0\nINPUT 1\nNAND 0 1 3\n")
 
@@ -519,7 +546,7 @@ class TestNetlistText:
     def test_comments_and_validation(self):
         text = "# a NAND\nINPUT 0\nINPUT 1\nOUTPUT 2\nNAND 0 1 2\n"
         nl = parse_netlist(text)
-        assert nl.gates == [NandGate(0, 1, 2)]
+        assert nl.gates == (NandGate(0, 1, 2),)
 
     def test_bad_directive(self):
         with pytest.raises(NetlistValidationError):

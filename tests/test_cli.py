@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gacalc.core
-from gacalc.circuit import load_memory, parse_netlist
+from gacalc.circuit import NetlistValidationError, load_memory, parse_netlist
 from gacalc.cli import UsageError, _parse_int_set, main
 from gacalc.core import MAX_TERMS, ResourceCapError
 
-from conftest import nand_fold
+from conftest import boolean_eval, nand_fold
 
 MACHINES = Path(__file__).parent.parent / "src" / "gacalc" / "machines"
 NETLISTS = Path(__file__).parent.parent / "src" / "gacalc" / "netlists"
@@ -134,8 +134,24 @@ class TestSearch:
             capsys, "search", "--n", "40", "--set", "0..100000000", "--mod", "3:0"
         )
         assert code == 1
-        assert f"ResourceCapError: integer set needs 100000001 terms, cap is {MAX_TERMS}" in err
+        assert f"ResourceCapError: search state needs 200000002 terms, cap is {MAX_TERMS}" in err
         assert peak < 1 << 20
+
+    def test_set_counts_two_terms_per_value(self, capsys):
+        # 600,001 values fit the cap as values but not as the state's pairs.
+        code, _, err, peak = traced_run(
+            capsys, "search", "--n", "24", "--set", "0..600000", "--mod", "3:0"
+        )
+        assert code == 1
+        assert f"ResourceCapError: search state needs 1200002 terms, cap is {MAX_TERMS}" in err
+        assert peak < 1 << 20
+        # The largest set whose state fits: 2 * 524,288 = MAX_TERMS terms.
+        code, report, _ = run_json(
+            capsys, "search", "--n", "20", "--set", f"0..{MAX_TERMS // 2 - 1}", "--mod", "1000000:7"
+        )
+        assert code == 0
+        assert report["counters"]["terms_before"] == MAX_TERMS
+        assert report["result"]["matches"] == [7]
 
 
 class TestSearchArgv:
@@ -431,6 +447,87 @@ class TestCircuit:
         code, _, err = run(capsys, "circuit", "--netlist", str(path), "--inputs", "1,1")
         assert code == 1
         assert "place -3 is negative" in err
+
+
+@st.composite
+def _circuit_case(draw):
+    """(netlist text, ``--inputs`` value): a valid netlist, then maybe broken.
+
+    The valid netlist has consecutive input places, gates that each write the
+    next fresh place from known ones, and outputs among the places below its
+    size.  A breakage replaces one token by a small place (a double write or
+    a read before its write), a negative or over-size place or a non-integer,
+    or inserts a line with an unknown directive or a short NAND.
+    """
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    places = iter(range(sum(widths)))
+    lines = [["INPUT", *(next(places) for _ in range(w))] for w in widths]
+    known = sum(widths)
+    for _ in range(draw(st.integers(0, 12))):
+        p, q = (draw(st.integers(0, known - 1)) for _ in range(2))
+        lines.append(["NAND", p, q, known])
+        known += 1
+    outputs = draw(st.lists(st.lists(st.integers(0, known), min_size=1, max_size=4), max_size=2))
+    lines += [["OUTPUT", *group] for group in outputs]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["gate", "any", "line"]))
+        if kind == "line":
+            directive = draw(st.sampled_from(["FROB", "NAND", "nand", "#", "OUTPUTS"]))
+            lines.insert(draw(st.integers(0, len(lines))), [directive, known])
+            continue
+        token = draw(
+            st.integers(0, known)
+            | st.integers(-5, -1)
+            | st.integers(known + 1, 1 << 64)
+            | st.sampled_from(["x", "1.5"])
+        )
+        gates = [line for line in lines if line[0] == "NAND"]
+        line = draw(st.sampled_from(gates if kind == "gate" and gates else lines))
+        line[draw(st.integers(1, len(line) - 1))] = token
+    text = "".join(" ".join(map(str, line)) + "\n" for line in lines)
+    valid = ",".join(str(draw(st.integers(0, (1 << w) - 1))) for w in widths)
+    inputs = draw(st.just(valid) | st.text(alphabet="0123456789,-x", max_size=6))
+    return text, inputs
+
+
+class TestCircuitArgv:
+    """``circuit`` end to end over netlist files and ``--inputs``, broken ones included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_circuit_case())
+    def test_exits_cleanly_and_matches_boolean_eval(self, tmp_path_factory, case):
+        text, inputs = case
+        path = tmp_path_factory.mktemp("circuit") / "netlist.nand"
+        path.write_text(text)
+        argv = ["circuit", f"--netlist={path}", f"--inputs={inputs}", "--format", "json"]
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the argv itself
+                    code = exc.code
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert peak < 8 << 20
+        try:
+            nl = parse_netlist(text)
+        except NetlistValidationError:
+            assert code == 1
+            return
+        if code != 0:
+            return
+        values = [int(v) for v in inputs.split(",")] if inputs else []
+        bits = boolean_eval(nl, values)
+        want = [sum(bits.get(p, 0) << k for k, p in enumerate(g)) for g in nl.output_groups]
+        report = json.loads(out)
+        assert report["result"]["outputs"] == want
+        assert report["result"]["blade_sign"] == nand_fold(nl, load_memory(nl, values)).sign
 
 
 class TestSelftest:

@@ -641,6 +641,17 @@ def test_one_term_cap_mechanism():
     }
 
 
+def test_one_compiled_netlist_program():
+    # A netlist is checked and compiled when it is built: its program and
+    # target mask are read only inside circuit, and nothing validates again.
+    reads = _functions_where(
+        lambda node: isinstance(node, ast.Attribute) and node.attr in ("_program", "_targets")
+    )
+    assert reads and {hit.partition(".")[0] for hit in reads} == {"circuit"}
+    calls_validate = lambda node: isinstance(node, ast.Call) and _names(node.func, "validate")
+    assert not _functions_where(calls_validate)
+
+
 def test_no_cap_options_on_the_cli():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -1,5 +1,6 @@
 """Factoring pipeline against trial division, plus faithful/fast route equality."""
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from functools import lru_cache, partial
 
 import pytest
@@ -12,6 +13,7 @@ from gacalc.encoding import decode, decode_wide, encode, encode_wide
 from gacalc.factoring import (
     ROUTES,
     FactoringLayout,
+    _multiplier_for,
     build_factoring_superposition,
     factor_pipeline,
     multiply_all,
@@ -374,3 +376,29 @@ class TestPlanePipeline:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestSharedNetlist:
+    """Both routes read the one cached multiplier netlist, which cannot change.
+
+    A mutable netlist once let a caller pop a gate from the shared netlist:
+    the bitsliced route read the live gates, the per-blade route a cached
+    program, and the two returned different divisors for z = 3 and z = 4.
+    """
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_shared_netlist_cannot_be_changed(self, n):
+        nl = _multiplier_for(n)
+        with pytest.raises(FrozenInstanceError):
+            nl.gates = nl.gates[:-1]
+        with pytest.raises(AttributeError):
+            nl.gates.pop()
+        assert _multiplier_for(n) is nl
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_routes_agree_on_every_target(self, n):
+        for z in range(1, 1 << n):
+            fast = factor_pipeline(z, n, "fast", keep_state=True)
+            faithful = factor_pipeline(z, n, "faithful", keep_state=True)
+            assert fast["divisors"] == faithful["divisors"] == sorted(divisors(z)), z
+            assert fast["state"] == faithful["state"], z

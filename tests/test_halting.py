@@ -128,6 +128,14 @@ class TestMachineCoding:
         assert again.transitions == spec.transitions
         assert again.code == spec.code
 
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_table_is_read_only(self, name):
+        # A changed table would leave ``code`` (and any successor memo) stale.
+        spec = CORPUS[name]
+        with pytest.raises(TypeError):
+            spec.transitions[(spec.start, 0)] = Transition(0, "L", spec.reject)
+        assert spec.code == spec._encode_table()
+
     def test_dict_roundtrip(self):
         spec = CORPUS["bb2"]
         assert machine_from_dict(machine_to_dict(spec)).code == spec.code
