@@ -39,11 +39,11 @@ def _parse_int_set(
 ) -> set[int]:
     """Comma-separated integers and inclusive ``a..b`` ranges in [0, 2^width).
 
-    Each value and range end, and the size against ``core.MAX_TERMS`` at
-    ``terms_per_value`` terms per value, is checked before any range is
-    expanded.  A malformed spec is a UsageError.
+    Each value and range end is checked, then the distinct values of the
+    merged ranges against ``core.MAX_TERMS`` at ``terms_per_value`` terms per
+    value, before any range is expanded.  A malformed spec is a UsageError.
     """
-    out: set[int] = set()
+    spans = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
@@ -59,9 +59,17 @@ def _parse_int_set(
                 raise UsageError(f"{value} outside [0, 2^{width})")
         if hi < lo:
             raise UsageError(f"empty range {token!r}")
-        core.check_terms(terms_per_value * (len(out) + hi - lo + 1), what)
-        out.update(range(lo, hi + 1))
-    return out
+        spans.append((lo, hi))
+    # Overlapping or adjacent ranges merge, so each value is counted and
+    # expanded once.
+    merged: list[list[int]] = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    core.check_terms(terms_per_value * sum(hi - lo + 1 for lo, hi in merged), what)
+    return {value for lo, hi in merged for value in range(lo, hi + 1)}
 
 
 def cmd_search(args: argparse.Namespace) -> RunReport:
@@ -112,9 +120,7 @@ def cmd_search(args: argparse.Namespace) -> RunReport:
 def cmd_factor(args: argparse.Namespace) -> RunReport:
     start = time.perf_counter()
     try:
-        stats = factoring.factor_pipeline(
-            args.z, args.n, route=args.route, keep_state=args.dump_state
-        )
+        stats = factoring.factor_pipeline(args.z, args.n, route=args.route)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     elapsed = time.perf_counter() - start

@@ -169,13 +169,12 @@ def _plane_divisors(fl: FactoringLayout, z: int) -> list[int]:
     return ys
 
 
-def factor_pipeline(
-    z: int,
-    n: int,
-    route: str = "fast",
-    keep_state: bool = False,
-) -> dict:
-    """Full pipeline for one target; returns divisors plus stage statistics."""
+def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
+    """Full pipeline for one target; returns divisors plus stage statistics.
+
+    The result always carries the projected state under ``"state"``: it holds
+    only the ``terms_after`` surviving terms, one per divisor.
+    """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     if z < 1:
@@ -202,7 +201,7 @@ def factor_pipeline(
         terms_before = len(state)
         multiplied = multiply_all(fl, state, route=route)
         projected = project_product(fl, multiplied, z)
-    out = {
+    return {
         "z": z,
         "n": n,
         "route": route,
@@ -210,7 +209,5 @@ def factor_pipeline(
         "terms_before": terms_before,
         "terms_after": len(projected),
         "multiply_passes": 1,
+        "state": projected,
     }
-    if keep_state:
-        out["state"] = projected
-    return out

@@ -102,14 +102,6 @@ class Config:
         return self.tape >> self.head & 1
 
 
-@dataclass(frozen=True)
-class MachineState:
-    """Control-state index with its halted flag; the code is the index."""
-
-    code: int
-    halted: bool
-
-
 class TMSpec:
     """Turing-machine transition table over the {0,1} alphabet.
 
@@ -166,78 +158,34 @@ class TMSpec:
                         f"missing transition for state {state} reading {symbol}"
                     )
 
-    @property
-    def _next_width(self) -> int:
-        return max(1, (self.num_states - 1).bit_length())
-
-    @property
-    def _work_states(self) -> list[int]:
-        return [s for s in range(self.num_states) if s not in self.halt_states]
-
     def _encode_table(self) -> int:
-        row_width = 2 + self._next_width
+        row_width = 2 + max(1, (self.num_states - 1).bit_length())
+        work_states = [s for s in range(self.num_states) if s not in self.halt_states]
         code = 0
-        for idx, (state, symbol) in enumerate(
-            (s, sym) for s in self._work_states for sym in (0, 1)
-        ):
-            tr = self.transitions[(state, symbol)]
+        for idx, key in enumerate(product(work_states, (0, 1))):
+            tr = self.transitions[key]
             row = tr.write | (MOVES.index(tr.move) << 1) | tr.next_state << 2
             code |= row << (idx * row_width)
         return code
-
-    @classmethod
-    def from_code(
-        cls,
-        code: int,
-        num_states: int,
-        start: int,
-        halt_states: Iterable[int],
-        reject: int | None = None,
-        name: str = "",
-    ) -> "TMSpec":
-        """Rebuild the table from its packed code plus the family context."""
-        halt = frozenset(halt_states)
-        work = [s for s in range(num_states) if s not in halt]
-        next_width = max(1, (num_states - 1).bit_length())
-        row_width = 2 + next_width
-        transitions = {}
-        for idx, (state, symbol) in enumerate((s, sym) for s in work for sym in (0, 1)):
-            row = code >> (idx * row_width)
-            transitions[(state, symbol)] = Transition(
-                write=row & 1,
-                move=MOVES[row >> 1 & 1],
-                next_state=row >> 2 & ((1 << next_width) - 1),
-            )
-        if code >> (row_width * 2 * len(work)):
-            raise MachineFormatError("machine code has extra high bits")
-        return cls(num_states, start, halt, transitions, reject=reject, name=name)
-
-    def state(self, code: int) -> MachineState:
-        if not 0 <= code < self.num_states:
-            raise ValueError(f"state code {code} out of range")
-        return MachineState(code, code in self.halt_states)
-
-    def start_state(self) -> MachineState:
-        return self.state(self.start)
 
     def __repr__(self) -> str:
         return f"TMSpec(name={self.name!r}, states={self.num_states}, code={self.code})"
 
 
-def tm_step(spec: TMSpec, config: Config, state: MachineState) -> tuple[Config, MachineState]:
+def tm_step(spec: TMSpec, config: Config, state: int) -> tuple[Config, int]:
     """One totalized machine step; halted states are fixed points."""
-    if state.halted:
+    if state in spec.halt_states:
         return config, state
-    tr = spec.transitions[(state.code, config.read())]
+    tr = spec.transitions[(state, config.read())]
     if tr.write:
         tape = config.tape | 1 << config.head
     else:
         tape = config.tape & ~(1 << config.head)
     head = config.head + (1 if tr.move == "R" else -1)
     if 0 <= head < config.cells:
-        return Config(tape, head, config.cells), spec.state(tr.next_state)
+        return Config(tape, head, config.cells), tr.next_state
     # Head runoff: the write stands, the head stays on its boundary cell.
-    return Config(tape, config.head, config.cells), spec.state(spec.reject)
+    return Config(tape, config.head, config.cells), spec.reject
 
 
 def run_direct(spec: TMSpec, config: Config, max_steps: int) -> tuple[bool, int | None]:
@@ -246,12 +194,12 @@ def run_direct(spec: TMSpec, config: Config, max_steps: int) -> tuple[bool, int 
     Returns the halting flag and the step count at which it halted (0 if the
     start state is already a halt state, None when it does not halt in time).
     """
-    state = spec.start_state()
-    if state.halted:
+    state = spec.start
+    if state in spec.halt_states:
         return True, 0
     for step in range(1, max_steps + 1):
         config, state = tm_step(spec, config, state)
-        if state.halted:
+        if state in spec.halt_states:
             return True, step
     return False, None
 

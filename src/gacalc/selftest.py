@@ -277,7 +277,7 @@ def _check_factoring() -> list[PropertyResult]:
     ok = True
     for z in range(1, 16):
         fast, faithful = (
-            factoring.factor_pipeline(z, 4, route=route, keep_state=True)
+            factoring.factor_pipeline(z, 4, route=route)
             for route in ("fast", "faithful")
         )
         if fast["divisors"] != faithful["divisors"] or fast["state"] != faithful["state"]:
@@ -320,10 +320,8 @@ def _check_halting() -> list[PropertyResult]:
         for x in params.config_codes:
             for s in params.state_codes:
                 if s < spec.num_states:
-                    config, state = halting.tm_step(
-                        spec, halting.Config.from_code(x, 3), spec.state(s)
-                    )
-                    want = config.code, state.code
+                    config, state = halting.tm_step(spec, halting.Config.from_code(x, 3), s)
+                    want = config.code, state
                 else:
                     want = x, spec.reject
                 ok = ok and params.step_codes(spec.code, x, s) == want

@@ -43,6 +43,25 @@ def traced_run(capsys, *argv):
     return code, out, err, peak
 
 
+def traced_main(argv):
+    """``main`` on argv: exit status, stdout, stderr and the tracemalloc peak.
+
+    An argv that argparse rejects gives argparse's exit status.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, out.getvalue(), err.getvalue(), peak
+
+
 class TestSearch:
     def test_marked_set(self, capsys):
         code, report, _ = run_json(capsys, "search", "--n", "4", "--set", "0..15", "--marked", "2,9")
@@ -153,6 +172,14 @@ class TestSearch:
         assert report["counters"]["terms_before"] == MAX_TERMS
         assert report["result"]["matches"] == [7]
 
+    def test_overlapping_ranges_count_each_value_once(self, capsys):
+        code, report, _ = run_json(
+            capsys, "search", "--n", "20", "--set", "0..300000,0..300000", "--mod", "1000000:7"
+        )
+        assert code == 0
+        assert report["counters"]["terms_before"] == 600002
+        assert report["result"]["matches"] == [7]
+
 
 class TestSearchArgv:
     """``search`` end to end over argv, malformed and out-of-range ones included."""
@@ -182,18 +209,7 @@ class TestSearchArgv:
     @given(n=st.integers(-2, 24), spec=_specs, predicate=_predicates)
     def test_exits_cleanly_and_matches_brute_force(self, n, spec, predicate):
         argv = ["search", f"--n={n}", f"--set={spec}", *predicate, "--format", "json"]
-        out, err = io.StringIO(), io.StringIO()
-        tracemalloc.start()
-        try:
-            with redirect_stdout(out), redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse rejects the argv itself
-                    code = exc.code
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        out, err = out.getvalue(), err.getvalue()
+        code, out, err, peak = traced_main(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         assert peak < 8 << 20
@@ -219,7 +235,7 @@ class TestParseIntSet:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceCapError, match=f"needs {MAX_TERMS + 1} terms"):
-                _parse_int_set(f"5,0..{MAX_TERMS - 1}", 40)
+                _parse_int_set(f"{MAX_TERMS},0..{MAX_TERMS - 1}", 40)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -321,6 +337,47 @@ class TestFactor:
         assert "ResourceCapError" in err
 
 
+@st.composite
+def _factor_case(draw):
+    """(route, n, z): a width the route runs and a target that fits it, or
+    one of the two broken.
+
+    Run widths stay small (fast n <= 8, faithful n <= 5); a broken width is
+    over the route's cap or below 1, a broken target negative, zero or huge.
+    """
+    route = draw(st.sampled_from(["fast", "faithful"]))
+    run, cap = (8, 13) if route == "fast" else (5, 11)
+    n = draw(st.integers(1, run))
+    z = draw(st.integers(1, (1 << n) - 1))
+    broken = draw(st.none() | st.sampled_from(["n", "z"]))
+    if broken == "n":
+        n = draw(st.integers(cap, 70) | st.integers(-3, 0))
+    elif broken == "z":
+        z = draw(st.integers(-(1 << 70), 0) | st.integers(1 << n, 1 << 80))
+    return route, n, z
+
+
+class TestFactorArgv:
+    """``factor`` end to end over argv."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_factor_case(), dump=st.booleans())
+    def test_exits_cleanly_and_matches_trial_division(self, case, dump):
+        route, n, z = case
+        argv = ["factor", f"--z={z}", f"--n={n}", f"--route={route}", "--format", "json"]
+        code, out, err, peak = traced_main(argv + ["--dump-state"] * dump)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert peak < 8 << 20
+        if code != 0:
+            return
+        report = json.loads(out)
+        assert report["result"]["divisors"] == [d for d in range(1, z + 1) if z % d == 0]
+        assert report["counters"]["terms_after"] == len(report["result"]["divisors"])
+        if dump:
+            assert len(report["result"]["state"]) == report["counters"]["terms_after"]
+
+
 class TestHaltProbe:
     def test_wide_tape_in_bounded_memory(self, capsys):
         code, out, _, peak = traced_run(
@@ -394,6 +451,77 @@ class TestHaltProbe:
         )
         assert code == 0
         assert "halts within 3 steps" in report["result"]["semantics"]
+
+
+def _broken_machine_file(draw, directory):
+    """A missing path, or a file that is not a valid machine description.
+
+    A broken file is a bundled machine's description with one field dropped
+    or replaced by an out-of-range or ill-typed value, or text that may not
+    be JSON at all.
+    """
+    path = directory / f"machine{draw(st.integers(0, 1 << 30))}.json"
+    kind = draw(st.sampled_from(["field", "text", "missing"]))
+    if kind == "field":
+        data = json.loads(draw(st.sampled_from(sorted(MACHINES.glob("*.json")))).read_text())
+        key = draw(st.sampled_from(sorted(data)))
+        bad = st.sampled_from([None, "x", [], {}, 1.5, [[]], ["x"], [{}]])
+        bad |= st.integers(-3, 12) | st.integers(1 << 62, 1 << 70)
+        if draw(st.booleans()):
+            del data[key]
+        elif key == "transitions" and data[key] and draw(st.booleans()):
+            row = draw(st.sampled_from(data[key]))
+            row[draw(st.sampled_from(sorted(row)))] = draw(bad)
+        else:
+            data[key] = draw(bad)
+        path.write_text(json.dumps(data))
+    elif kind == "text":
+        path.write_text(draw(st.text(max_size=30)))
+    return str(path)
+
+
+@st.composite
+def _halt_probe_argv(draw, directory):
+    """A valid ``halt-probe`` argv with at most one part broken.
+
+    Valid parts: a bundled machine, 1 <= steps <= 12, a tape of up to 70
+    cells with the head on it and a 0/1 string that fits it.
+    """
+    broken = draw(st.none() | st.sampled_from(["machine", "steps", "tape", "head", "input"]))
+    machine = str(draw(st.sampled_from(sorted(MACHINES.glob("*.json")))))
+    steps, tape = draw(st.integers(1, 12)), draw(st.integers(1, 70))
+    head = draw(st.integers(0, tape - 1))
+    bits = draw(st.text(alphabet="01", max_size=min(tape, 8)))
+    if broken == "machine":
+        machine = _broken_machine_file(draw, directory)
+    elif broken == "steps":
+        steps = draw(st.integers(-2, 0))
+    elif broken == "tape":
+        tape = draw(st.integers(-2, 0))
+    elif broken == "head":
+        head = draw(st.integers(-2, -1) | st.integers(tape, 70))
+    elif broken == "input":
+        bits = draw(st.text("012x", min_size=1, max_size=9))
+    mode = draw(st.sampled_from(["both", "ga", "direct"]))
+    return [
+        "halt-probe", f"--machine={machine}", f"--input={bits}", f"--head={head}",
+        f"--steps={steps}", f"--tape={tape}", f"--mode={mode}", "--format", "json",
+    ]
+
+
+class TestHaltProbeArgv:
+    """``halt-probe`` end to end over argv and machine files, broken ones included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exits_cleanly_and_routes_agree(self, tmp_path_factory, data):
+        argv = data.draw(_halt_probe_argv(tmp_path_factory.mktemp("machine")))
+        code, out, err, peak = traced_main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert peak < 8 << 20
+        if code == 0 and "--mode=both" in argv:
+            assert json.loads(out)["result"]["agreement"] is True
 
 
 class TestCircuit:
@@ -500,18 +628,7 @@ class TestCircuitArgv:
         path = tmp_path_factory.mktemp("circuit") / "netlist.nand"
         path.write_text(text)
         argv = ["circuit", f"--netlist={path}", f"--inputs={inputs}", "--format", "json"]
-        out, err = io.StringIO(), io.StringIO()
-        tracemalloc.start()
-        try:
-            with redirect_stdout(out), redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse rejects the argv itself
-                    code = exc.code
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        out, err = out.getvalue(), err.getvalue()
+        code, out, err, peak = traced_main(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         assert peak < 8 << 20

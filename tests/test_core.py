@@ -1,6 +1,7 @@
 """Blade arithmetic against brute-force oracles and algebraic laws."""
 import argparse
 import ast
+import inspect
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +26,9 @@ from gacalc.core import (
     to_records,
 )
 from gacalc.circuit import linear_extend
-from gacalc.search import SearchLayout, build_initial_state
+from gacalc.factoring import factor_pipeline
+from gacalc.halting import TruncationParams, probe_report
+from gacalc.search import SearchLayout, build_initial_state, run_search
 
 from conftest import bubble_sign
 
@@ -663,3 +666,15 @@ def test_no_cap_options_on_the_cli():
     }
     assert "--steps" in options
     assert not options & {"--max-n", "--term-cap", "--max-terms"}
+
+
+def test_no_new_pipeline_options():
+    # Each keyword is a setting every caller and test must cover: a new one
+    # fails here, so the change that adds it has to justify it.
+    params = lambda f: list(inspect.signature(f).parameters)
+    assert params(factor_pipeline) == ["z", "n", "route"]
+    assert params(TruncationParams) == [
+        "machines", "steps", "cells", "config_codes", "state_codes", "reject_code"
+    ]
+    assert params(probe_report) == ["spec", "config", "steps", "mode"]
+    assert params(run_search) == ["elements", "f", "n"]

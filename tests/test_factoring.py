@@ -360,7 +360,7 @@ class TestPlanePipeline:
         multiplied = multiplied_superposition(n, route)
         for z in range(1, 1 << n):
             want = project_product(fl, multiplied, z)
-            got = factor_pipeline(z, n, "fast", keep_state=True)
+            got = factor_pipeline(z, n, "fast")
             assert got["state"] == want, f"n={n} z={z}"
             assert to_records(got["state"]) == to_records(want)
             assert got["divisors"] == sorted(read_divisors(fl, want))
@@ -398,7 +398,7 @@ class TestSharedNetlist:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_routes_agree_on_every_target(self, n):
         for z in range(1, 1 << n):
-            fast = factor_pipeline(z, n, "fast", keep_state=True)
-            faithful = factor_pipeline(z, n, "faithful", keep_state=True)
+            fast = factor_pipeline(z, n, "fast")
+            faithful = factor_pipeline(z, n, "faithful")
             assert fast["divisors"] == faithful["divisors"] == sorted(divisors(z)), z
             assert fast["state"] == faithful["state"], z

@@ -45,7 +45,7 @@ def blank(cells: int, head: int = 0) -> Config:
 
 
 def reference_step_codes(params: TruncationParams, machine_code: int, x: int, s: int):
-    """Reference step on codes: ``tm_step`` on ``Config``/``MachineState``, no memo."""
+    """Reference step on codes: ``tm_step`` on a ``Config`` and a state int, no memo."""
     spec = params.machine_by_code.get(machine_code)
     if spec is None:
         return x, params.reject_code
@@ -56,8 +56,8 @@ def reference_step_codes(params: TruncationParams, machine_code: int, x: int, s:
         or x >> params.cells >= params.cells
     ):
         return x, spec.reject
-    config, state = tm_step(spec, Config.from_code(x, params.cells), spec.state(s))
-    return config.code, state.code
+    config, state = tm_step(spec, Config.from_code(x, params.cells), s)
+    return config.code, state
 
 
 def stepwise_chains(params: TruncationParams, starts=None) -> Multivector:
@@ -120,13 +120,24 @@ class TestMachineCoding:
         assert len(CORPUS) >= 10
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
-    def test_code_roundtrip(self, name):
+    def test_code_determines_table(self, name):
+        # Any one transition changed to another valid action changes the code.
         spec = CORPUS[name]
-        again = TMSpec.from_code(
-            spec.code, spec.num_states, spec.start, spec.halt_states, spec.reject
-        )
-        assert again.transitions == spec.transitions
-        assert again.code == spec.code
+        for key, tr in spec.transitions.items():
+            for other in (
+                Transition(1 - tr.write, tr.move, tr.next_state),
+                Transition(tr.write, "L" if tr.move == "R" else "R", tr.next_state),
+                *(
+                    Transition(tr.write, tr.move, s)
+                    for s in range(spec.num_states)
+                    if s != tr.next_state
+                ),
+            ):
+                table = {**spec.transitions, key: other}
+                changed = TMSpec(
+                    spec.num_states, spec.start, spec.halt_states, table, spec.reject
+                )
+                assert changed.code != spec.code, (key, other)
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_table_is_read_only(self, name):
@@ -232,29 +243,29 @@ class TestStep:
     def test_halted_fixed_point(self):
         spec = CORPUS["bb2"]
         config = blank(4)
-        state = spec.state(2)
-        assert tm_step(spec, config, state) == (config, state)
+        assert 2 in spec.halt_states
+        assert tm_step(spec, config, 2) == (config, 2)
 
     def test_write_and_halt(self):
         spec = CORPUS["bb1"]
-        config, state = tm_step(spec, blank(4), spec.start_state())
+        config, state = tm_step(spec, blank(4), spec.start)
         assert config.tape == 0b1 and config.head == 1
-        assert state.halted
+        assert state in spec.halt_states
 
     def test_runoff_goes_to_reject(self):
         spec = CORPUS["runner-left"]
-        config, state = tm_step(spec, blank(4), spec.start_state())
-        assert state.code == spec.reject and state.halted
+        config, state = tm_step(spec, blank(4), spec.start)
+        assert state == spec.reject and state in spec.halt_states
         assert config.head == 0  # clamped at the boundary
 
     def test_bb2_full_trace(self):
         spec = CORPUS["bb2"]
         halts, at = run_direct(spec, blank(6, head=2), 10)
         assert (halts, at) == (True, 6)
-        config, state = blank(6, head=2), spec.start_state()
+        config, state = blank(6, head=2), spec.start
         for _ in range(6):
             config, state = tm_step(spec, config, state)
-        assert state.halted
+        assert state in spec.halt_states
         assert config.tape.bit_count() == 4  # the busy beaver leaves four 1s
 
     def test_immediate_halt_at_step_zero(self):
@@ -388,10 +399,10 @@ class TestStepOperator:
             | encode(spec.start, "2", layout),
         )
         out = apply_step_operator(term, 0, params)
-        config, state = tm_step(spec, blank(2), spec.start_state())
+        config, state = tm_step(spec, blank(2), spec.start)
         expected_mask = next(iter(term.masks())) | encode(
             config.code, "3", layout
-        ) | encode(state.code, "4", layout)
+        ) | encode(state, "4", layout)
         assert dict(out.terms) == {expected_mask: 1}
 
     def test_linearity_over_terms(self):
