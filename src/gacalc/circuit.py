@@ -7,15 +7,19 @@ memory blade with e_r (when the result bit is 1); the accumulated reordering
 sign is tracked for algebraic cross-checks but never consulted by the bit
 semantics.
 
-:func:`run_netlist` runs the gates on one plain ``int`` and takes the sign
-once per run.  A run that writes r_1, ..., r_K (in gate order) onto the start
-blade M0 ends at e_{r_K} ... e_{r_1} M0.  Place r_k is empty until its write,
-so no factor contracts, and moving e_{r_k} into canonical position passes
-exactly the set bits below r_k: those of M0 and the earlier writes.  Summed
-over the writes the first counts give the parity of ``reorder_sign(W, M0)``
-(W the OR of the writes) and the second P = #{j < k : r_j < r_k}, so the
-sign is ``reorder_sign(W, M0) * (-1)^P``: one sign scan per run instead of
-one per gate.  The gate-by-gate :func:`nand_apply` stays as the reference.
+:func:`run_netlist` runs the gates on a ``bytearray`` with one cell per place
+of the netlist's window, the span of its input, gate and output places, and
+takes the sign once per run.  A run that writes r_1, ..., r_K (in gate
+order) onto the start blade M0 ends at e_{r_K} ... e_{r_1} M0.  Place r_k is
+empty until its write, so no factor contracts, and moving e_{r_k} into
+canonical position passes exactly the set bits below r_k: those of M0 and the
+earlier writes.  Summed over the writes the first counts give the parity of
+``reorder_sign(W, M0)`` (W the OR of the writes) and the second
+P = #{j < k : r_j < r_k} = C(c, 2) - (inversions among the written targets
+in gate order), c = popcount(W).  So the sign is
+``reorder_sign(W, M0) * (-1)^P``, and for a netlist whose targets ascend in
+gate order, as every :class:`GateBuilder` netlist's do, P = C(c, 2).  The
+gate-by-gate :func:`nand_apply` stays as the reference.
 
 Because places are write-once, every temporary lands in a fresh ancilla
 place; netlists therefore grow monotonically and validate as a topological
@@ -100,8 +104,10 @@ class Netlist:
     Each input (output) group is one operand: a tuple of places, least
     significant first.  Gates must write distinct, non-input places and may
     only read inputs or earlier gate outputs.  A netlist is checked and
-    compiled to its ``(p, q, r)`` program once, when it is built, and cannot
-    be changed afterwards; every run reads that one program.
+    compiled once, when it is built, and cannot be changed afterwards: its
+    window of places ``lo .. lo + width - 1`` spans every input, gate and
+    output place, its ``(p, q, r)`` program counts places from ``lo``, and
+    every run, per blade or bitsliced, reads that one program.
     """
 
     gates: tuple[NandGate, ...]
@@ -150,8 +156,17 @@ class Netlist:
             written.add(g.r)
             known.add(g.r)
             targets |= 1 << g.r
+        places = [*inputs, *self.outputs, *written]
+        lo = min(places, default=0)
         object.__setattr__(self, "_targets", targets)
-        object.__setattr__(self, "_program", tuple((g.p, g.q, g.r) for g in gates))
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_width", max(places, default=lo - 1) + 1 - lo)
+        object.__setattr__(self, "_program", tuple((g.p - lo, g.q - lo, g.r - lo) for g in gates))
+        object.__setattr__(self, "_ascending", all(a.r < b.r for a, b in zip(gates, gates[1:])))
+
+
+_CELLS = bytes.maketrans(b"01", b"\0\1")  # binary digits -> place cells
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _refuse_occupied_targets(
@@ -159,31 +174,44 @@ def _refuse_occupied_targets(
 ) -> None:
     """Raise on the first gate target, in gate order, that ``occupied`` reports set."""
     for _, _, r in netlist._program:
-        if occupied(r):
-            raise TargetOccupiedError(f"target place {r} is not empty in the initial {where}")
+        place = netlist._lo + r
+        if occupied(place):
+            raise TargetOccupiedError(
+                f"target place {place} is not empty in the initial {where}"
+            )
 
 
 def run_netlist(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
     """Apply every gate in order; the final bit pattern is the circuit value.
 
-    Equal to folding :func:`nand_apply` over the gates, sign included, with
-    the sign taken once from the formula in the module docstring.  No target
-    is set at the start, so ``mask ^ start`` is the OR of the writes so far,
-    and each write adds to P the earlier writes minus those above r, which
-    holds for writes in any place order.
+    Equal to folding :func:`nand_apply` over the gates, sign included.  The
+    window's bits are loaded into one cell per place, each gate writes
+    ``1 ^ p & q`` into its cell, and W, the cells read back on the gate
+    targets, is the OR of the writes, since no target is set at the start.
+    The sign is taken once, ``reorder_sign(W, M0) * (-1)^P`` with
+    P = C(c, 2) - inversions (module docstring); the inversions are counted
+    in one pass over the targets, and only when they do not ascend.
     """
     start = memory.mask
-    if start & netlist._targets:
+    targets = netlist._targets
+    if start & targets:
         _refuse_occupied_targets(netlist, lambda r: start >> r & 1, "memory")
-    mask = start
-    count = below = 0
-    for p, q, r in netlist._program:
-        if not mask >> p & mask >> q & 1:
-            below += count - ((mask ^ start) >> r).bit_count()
-            mask |= 1 << r
-            count += 1
-    sign = memory.sign * reorder_sign(mask ^ start, start)
-    return MemoryBlade(mask, -sign if below & 1 else sign)
+    lo, width, program = netlist._lo, netlist._width, netlist._program
+    window = start >> lo & (1 << width) - 1
+    cells = bytearray(format(window, f"0{width}b")[::-1], "ascii").translate(_CELLS)
+    for p, q, r in program:
+        cells[r] = 1 ^ cells[p] & cells[q]
+    written = int(cells.translate(_DIGITS)[::-1], 2) << lo & targets
+    count = written.bit_count()
+    parity = count * (count - 1) >> 1
+    if not netlist._ascending:
+        seen, relative = 0, written >> lo
+        for _, _, r in program:
+            if relative >> r & 1:
+                parity -= (seen >> r).bit_count()
+                seen |= 1 << r
+    sign = memory.sign * reorder_sign(written, start)
+    return MemoryBlade(start | written, -sign if parity & 1 else sign)
 
 
 def run_netlist_planes(
@@ -198,19 +226,19 @@ def run_netlist_planes(
     output that no gate writes reads as the zero plane.
     """
     _refuse_occupied_targets(netlist, lambda r: planes.get(r, 0), "planes")
-    program = netlist._program
+    lo, program = netlist._lo, netlist._program
     full = (1 << lanes) - 1
-    outputs = set(netlist.outputs)
+    outputs = {place - lo for place in netlist.outputs}
     last_read = {}
     for idx, (p, q, _) in enumerate(program):
         last_read[p] = last_read[q] = idx
-    wires = dict(planes)
+    wires = {place - lo: plane for place, plane in planes.items()}
     for idx, (p, q, r) in enumerate(program):
         wires[r] = full ^ (wires.get(p, 0) & wires.get(q, 0))
         for place in (p, q):
             if last_read[place] == idx and place not in outputs:
                 wires.pop(place, None)
-    return {place: wires.get(place, 0) for place in netlist.outputs}
+    return {place: wires.get(place - lo, 0) for place in netlist.outputs}
 
 
 class GateBuilder:
@@ -449,10 +477,8 @@ def load_memory(netlist: Netlist, values: Iterable[int]) -> MemoryBlade:
 
 def read_outputs(netlist: Netlist, memory: MemoryBlade) -> list[int]:
     """Decode one integer per output group (LSB first) from the memory blade."""
-    out = []
-    for group in netlist.output_groups:
-        value = 0
-        for k, place in enumerate(group):
-            value |= bit_read(memory, place) << k
-        out.append(value)
-    return out
+    mask = memory.mask
+    return [
+        sum((mask >> place & 1) << k for k, place in enumerate(group))
+        for group in netlist.output_groups
+    ]

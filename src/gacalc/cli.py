@@ -179,10 +179,8 @@ def cmd_circuit(args: argparse.Namespace) -> RunReport:
     final = circuit.run_netlist(netlist, memory)
     elapsed = time.perf_counter() - start
     outputs = circuit.read_outputs(netlist, final)
-    bits = [
-        "".join(str(circuit.bit_read(final, p)) for p in group)
-        for group in netlist.output_groups
-    ]
+    mask = final.mask
+    bits = ["".join(str(mask >> p & 1) for p in group) for group in netlist.output_groups]
     return RunReport(
         command="circuit",
         params={"netlist": args.netlist, "inputs": values},

@@ -179,11 +179,11 @@ def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     if z < 1:
         raise ValueError("target must be at least 1")
-    if z >= 1 << n:
+    fl = FactoringLayout(n)  # names the width when n < 1, before z is tested against it
+    if z.bit_length() > n:
         raise ValueError(
             f"width n={n} cannot represent every divisor of {z}; need 2^n > z"
         )
-    fl = FactoringLayout(n)
     if route == "fast":
         if n > FAST_MAX_N:
             raise ResourceCapError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from . import circuit, core, encoding, factoring, halting, search
 
@@ -259,6 +260,27 @@ def _check_ga_circuit() -> list[PropertyResult]:
             if got != [a * b] or got != _boolean_eval(netlist, [a, b]):
                 ok = False
     out.append(PropertyResult("ga-circuit", "multiplier-3bit-exhaustive", ok))
+
+    # Both cases of the sign count: mult3.nand's targets ascend, and these
+    # half-adder targets 6, 5, 4, 3, 2 descend.
+    bundled = Path(circuit.__file__).parent / "netlists" / "mult3.nand"
+    gates = [(0, 1, 6), (0, 6, 5), (1, 6, 4), (5, 4, 3), (6, 6, 2)]
+    descending = circuit.Netlist(
+        [circuit.NandGate(*g) for g in gates], [[0], [1]], [[3, 2]]
+    )
+    ok = True
+    for netlist in (circuit.parse_netlist(bundled.read_text(encoding="utf-8")), descending):
+        a_width, b_width = map(len, netlist.input_groups)
+        for a in range(1 << a_width):
+            for b in range(1 << b_width):
+                for sign in (1, -1):
+                    mem = circuit.MemoryBlade(circuit.load_memory(netlist, [a, b]).mask, sign)
+                    want = mem
+                    for gate in netlist.gates:
+                        want = circuit.nand_apply(gate, want)
+                    if circuit.run_netlist(netlist, mem) != want:
+                        ok = False
+    out.append(PropertyResult("ga-circuit", "run-matches-gate-fold", ok))
     return out
 
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from gacalc.circuit import nand_apply
-from gacalc.core import Multivector
+from gacalc.circuit import MemoryBlade, nand_apply
+from gacalc.core import Multivector, reorder_sign
 
 
 def _as_fractions(mv: Multivector) -> Multivector:
@@ -53,3 +53,22 @@ def nand_fold(netlist, memory):
     for g in netlist.gates:
         memory = nand_apply(g, memory)
     return memory
+
+
+def int_loop_run(netlist, memory):
+    """Oracle for ``run_netlist``: the gates on one plain ``int``, P counted per write.
+
+    No target is set at the start, so ``mask ^ start`` is the OR of the writes
+    so far, and each write adds to P (the write pairs whose earlier write has
+    the lower place) the earlier writes minus those above its place.
+    """
+    start = memory.mask
+    mask = start
+    count = below = 0
+    for g in netlist.gates:
+        if not mask >> g.p & mask >> g.q & 1:
+            below += count - ((mask ^ start) >> g.r).bit_count()
+            mask |= 1 << g.r
+            count += 1
+    sign = memory.sign * reorder_sign(mask ^ start, start)
+    return MemoryBlade(mask, -sign if below & 1 else sign)

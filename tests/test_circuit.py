@@ -31,9 +31,9 @@ from gacalc.circuit import (
     run_netlist_planes,
 )
 from gacalc.core import Multivector
-from gacalc.factoring import _multiplier_for
+from gacalc.factoring import FactoringLayout, _multiplier_for, build_factoring_superposition
 
-from conftest import boolean_eval, nand_fold
+from conftest import boolean_eval, int_loop_run, nand_fold
 
 NETLISTS = Path(__file__).parent.parent / "src" / "gacalc" / "netlists"
 
@@ -203,9 +203,12 @@ class TestRunNetlist:
             run_netlist(nl, MemoryBlade(1 << last))
 
 
-def random_netlist(rng: random.Random, places: int = 40) -> Netlist:
-    """Gates writing fresh places in shuffled order, each reading known places."""
-    order = list(range(places))
+def random_netlist(rng: random.Random, places: int = 40, lo: int = 0) -> Netlist:
+    """Gates writing fresh places in shuffled order, each reading known places.
+
+    Every place lies in ``lo .. lo + places - 1``.
+    """
+    order = list(range(lo, lo + places))
     rng.shuffle(order)
     split = rng.randint(1, 4)
     inputs = order[:split]
@@ -217,8 +220,17 @@ def random_netlist(rng: random.Random, places: int = 40) -> Netlist:
     return Netlist(gates, [inputs], [known[-1:]])
 
 
+def assert_matches_oracles(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
+    """``run_netlist`` equals the one-int loop and the per-gate fold, mask and sign."""
+    out = run_netlist(netlist, memory)
+    assert out == int_loop_run(netlist, memory)
+    assert out == nand_fold(netlist, memory)
+    return out
+
+
 class TestRunNetlistMatchesNandFold:
-    """``run_netlist`` takes one sign per run; the per-gate fold is its oracle."""
+    """``run_netlist`` takes one sign per run; the one-int loop and the per-gate
+    fold are its oracles."""
 
     def test_random_netlists_with_unordered_writes(self):
         rng = random.Random(12)
@@ -228,9 +240,7 @@ class TestRunNetlistMatchesNandFold:
             written = [g.r for g in nl.gates]
             descending += any(a > b for a, b in zip(written, written[1:]))
             mem = MemoryBlade(mask_of({p: rng.randint(0, 1) for p in nl.inputs}))
-            out = run_netlist(nl, mem)
-            assert out == nand_fold(nl, mem)
-            signs.add(out.sign)
+            signs.add(assert_matches_oracles(nl, mem).sign)
         assert descending > 1000
         assert signs == {1, -1}
 
@@ -241,17 +251,67 @@ class TestRunNetlistMatchesNandFold:
             context = rng.getrandbits(48) << 40  # places no gate reads or writes
             inputs = mask_of({p: rng.randint(0, 1) for p in nl.inputs})
             mem = MemoryBlade(context | inputs, -1)
-            out = run_netlist(nl, mem)
-            assert out == nand_fold(nl, mem)
+            out = assert_matches_oracles(nl, mem)
             assert out.mask >> 40 == context >> 40
+
+    def test_window_above_place_zero_with_context_on_both_sides(self):
+        rng = random.Random(14)
+        signs = set()
+        for _ in range(500):
+            lo = rng.randint(1, 90)
+            nl = random_netlist(rng, lo=lo)
+            places = {*nl.inputs, *nl.outputs, *(g.r for g in nl.gates)}
+            below, above = rng.getrandbits(lo), rng.getrandbits(30) << (lo + 40)
+            inputs = mask_of({p: rng.randint(0, 1) for p in nl.inputs})
+            for sign in (1, -1):
+                mem = MemoryBlade(below | inputs | above, sign)
+                out = assert_matches_oracles(nl, mem)
+                assert out.mask & ~(-1 << lo) == below
+                assert out.mask >> (lo + 40) << (lo + 40) == above
+                signs.add(out.sign)
+            assert min(places) >= lo
+        assert signs == {1, -1}
+
+    def test_sign_of_ascending_and_descending_writes(self):
+        # Three NOTs of a 0 write e_3, e_4, e_5.  Ascending, the run ends at
+        # e_5 e_4 e_3 = -e_3 e_4 e_5 (P = C(3, 2) = 3); descending, at
+        # e_3 e_4 e_5 (three inversions, P = 0).
+        for order, sign in ((3, 4, 5), -1), ((5, 4, 3), 1):
+            nl = Netlist([NandGate(0, 0, r) for r in order], [[0]], [[3, 4, 5]])
+            out = assert_matches_oracles(nl, MemoryBlade(0))
+            assert out == MemoryBlade(0b111000, sign)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_multiplier_input(self, n):
         nl = build_nand_multiplier(n)
         for a in range(1 << n):
             for b in range(1 << n):
-                mem = load_memory(nl, [a, b])
-                assert run_netlist(nl, mem) == nand_fold(nl, mem)
+                assert_matches_oracles(nl, load_memory(nl, [a, b]))
+
+    def test_every_blade_of_the_factoring_state(self):
+        fl = FactoringLayout(5)
+        nl = fl.multiplier_netlist()
+        state = build_factoring_superposition(fl)
+        assert len(state) == 1024
+        signs = {
+            assert_matches_oracles(nl, MemoryBlade(mask, -1 if i & 1 else 1)).sign
+            for i, mask in enumerate(state.masks())
+        }
+        assert signs == {1, -1}
+
+    def test_builder_and_bundled_targets_ascend(self):
+        # So their runs take P = C(c, 2) with no inversion pass.
+        bundled = parse_netlist((NETLISTS / "mult3.nand").read_text())
+        assert all(nl._ascending for nl in (bundled, *map(_multiplier_for, range(1, 7))))
+        assert not Netlist([NandGate(0, 0, 2), NandGate(0, 0, 1)], [[0]], [[1]])._ascending
+
+    def test_bundled_netlist_every_input(self):
+        nl = parse_netlist((NETLISTS / "mult3.nand").read_text())
+        for a in range(8):
+            for b in range(8):
+                for sign in (1, -1):
+                    mem = MemoryBlade(load_memory(nl, [a, b]).mask, sign)
+                    assert read_outputs(nl, assert_matches_oracles(nl, mem)) == [a * b]
 
     def test_sparse_text_runs_in_bounded_memory(self):
         # Built directly: netlist text is bounded to places below its size.

@@ -291,6 +291,11 @@ class TestFactor:
         code, _, err = run(capsys, "factor", "--z", "16", "--n", "4")
         assert code == 2
 
+    def test_negative_width_names_the_width(self, capsys):
+        code, _, err = run(capsys, "factor", "--z", "3", "--n", "-1")
+        assert code == 2
+        assert err.strip() == "usage error: operand width must be at least 1"
+
     def test_faithful_route(self, capsys):
         code, report, _ = run_json(capsys, "factor", "--z", "6", "--n", "3", "--route", "faithful")
         assert code == 0

@@ -645,12 +645,14 @@ def test_one_term_cap_mechanism():
 
 
 def test_one_compiled_netlist_program():
-    # A netlist is checked and compiled when it is built: its program and
-    # target mask are read only inside circuit, and nothing validates again.
-    reads = _functions_where(
-        lambda node: isinstance(node, ast.Attribute) and node.attr in ("_program", "_targets")
-    )
-    assert reads and {hit.partition(".")[0] for hit in reads} == {"circuit"}
+    # A netlist is checked and compiled when it is built: its program, target
+    # mask, place window and ascending flag are read only inside circuit, and
+    # nothing validates again.
+    for attr in ("_program", "_targets", "_lo", "_width", "_ascending"):
+        reads = _functions_where(
+            lambda node: isinstance(node, ast.Attribute) and node.attr == attr
+        )
+        assert reads and {hit.partition(".")[0] for hit in reads} == {"circuit"}, attr
     calls_validate = lambda node: isinstance(node, ast.Call) and _names(node.func, "validate")
     assert not _functions_where(calls_validate)
 

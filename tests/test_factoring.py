@@ -290,6 +290,14 @@ class TestProjectAndRead:
         with pytest.raises(ValueError):
             factor_pipeline(16, 4)
 
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("n", [0, -1, -70])
+    def test_width_below_one_named(self, n, route):
+        # Refused as a width, before z is tested against 2^n: a shift by a
+        # negative n raised "negative shift count", which names no option.
+        with pytest.raises(ValueError, match="^operand width must be at least 1$"):
+            factor_pipeline(3, n, route=route)
+
 
 class TestPipeline:
     @pytest.mark.parametrize("n,route", [(6, "fast"), (4, "faithful")])
