@@ -41,9 +41,14 @@ MAX_TERMS = 1 << 20  # = 4^10: the full factoring grid at n = 10
 
 
 def check_terms(count: int, what: str) -> None:
-    """The one term cap: every construction calls it, counting before it allocates."""
+    """The one term cap: every construction calls it, counting before it allocates.
+
+    A count of 2^64 or more is named by the power of two at or below it, so a
+    caller that cannot afford to form a huge count may pass a lower bound.
+    """
     if count > MAX_TERMS:
-        raise ResourceCapError(f"{what} needs {count} terms, cap is {MAX_TERMS}")
+        size = f"2^{count.bit_length() - 1} or more" if count >> 64 else count
+        raise ResourceCapError(f"{what} needs {size} terms, cap is {MAX_TERMS}")
 
 
 def _suffix_parity(a: int) -> int:

@@ -80,11 +80,18 @@ def build_factoring_superposition(
     Its |xs|·|ys| terms are checked against ``core.MAX_TERMS`` first.
     """
     n = fl.n
-    xs = range(1 << n) if xs is None else list(xs)
-    ys = range(1 << n) if ys is None else list(ys)
-    # A full side counts 2^n by shift: len() of a range overflows past sys.maxsize.
-    count = lambda side: 1 << n if isinstance(side, range) else len(side)
-    check_terms(count(xs) * count(ys), "factoring superposition")
+    xs = None if xs is None else list(xs)
+    ys = None if ys is None else list(ys)
+    # A full side counts 2^n by shift (len() of a range overflows past
+    # sys.maxsize), at most 2^64: check_terms names that as a bound, and a
+    # huge n allocates nothing before it is refused.
+    count = lambda side: 1 << min(n, 64) if side is None else len(side)
+    total = count(xs) * count(ys)
+    check_terms(total, "factoring superposition")
+    if not total:  # an empty side: no pairs, and no loop over the full other side
+        return Multivector.zero(fl.dimension)
+    xs = range(1 << n) if xs is None else xs
+    ys = range(1 << n) if ys is None else ys
     x_sub, y1_sub, y2_sub = (fl.layout[name] for name in "012")
     terms = {}
     for y in ys:

@@ -55,7 +55,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .core import Multivector, _accumulate, blade_mul, check_terms
+from .core import Multivector, blade_mul, check_terms
 from .encoding import SubspaceLayout
 
 MOVES = ("L", "R")
@@ -376,20 +376,23 @@ def _links(params: TruncationParams) -> tuple[int, int]:
 
     Step i's output block (slots 4i+3, 4i+4) is ``h`` bits below step i+1's
     input block (slots 4i+5, 4i+6), so ``out << h`` covers the input blocks
-    of steps 1..K-1; ``out`` is 0 when K = 1.
+    of steps 1..K-1; ``out`` is 0 when K = 1.  The blocks repeat every 2h
+    bits from slot 3, so ``out`` is one repeated bit pattern.
     """
     slots = params.slots
-    out = 0
-    for i in range(params.steps - 1):
-        out |= slots[4 * i + 3].mask | slots[4 * i + 4].mask
-    return slots[3].offset - slots[1].offset, out
+    h = slots[3].offset - slots[1].offset
+    out = int("0" + ("0" * h + "1" * h) * (params.steps - 1), 2)
+    return h, out << slots[3].offset
 
 
 def consistency_project(state: Multivector, params: TruncationParams) -> Multivector:
     """Keep terms where each step's outputs equal the next step's inputs."""
     h, out = _links(params)
     nxt = out << h
-    return state.project(lambda mask: (mask & out) << h == mask & nxt)
+    return Multivector._raw(
+        state.dimension,
+        {m: c for m, c in state.terms.items() if (m & out) << h == m & nxt},
+    )
 
 
 def instance_project(
@@ -406,22 +409,34 @@ def instance_project(
     # start state too wide for slot 2 spills outside ``select``, so no term
     # matches, as no slot-2 value would equal it.
     want = spec.code << machine.offset | input_code << x0.offset | spec.start << s0.offset
-    return state.project(lambda mask: mask & select == want)
+    return Multivector._raw(
+        state.dimension, {m: c for m, c in state.terms.items() if m & select == want}
+    )
 
 
 def halt_project(state: Multivector, params: TruncationParams) -> Multivector:
-    """Keep terms where some state slot after step 0 holds a halt state."""
-    machine = params.slots[0]
-    state_slots = [params.slots[4 * i + 4] for i in range(params.steps)]
-    state_slots += [params.slots[4 * i + 2] for i in range(1, params.steps)]
+    """Keep terms where some state slot after step 0 holds a halt state.
 
+    Those are the 2K-1 slots 4, 6, ..., 4K, every h bits from slot 2 up to the
+    top of the layout: in the mask's full-width binary string, the w_s-digit
+    fields at positions 0, h, ..., (2K-2)h, so each term costs O(K).
+    """
+    m_mask, w_s = params.slots[0].mask, params.slots[2].width
+    h = params.slots[3].offset - params.slots[1].offset
+    starts = range(0, (2 * params.steps - 1) * h, h)
+    digits = f"0{params.dimension}b"
     halt_states = {m.code: m.halt_states for m in params.machines}
 
     def halted(mask: int) -> bool:
-        halts = halt_states.get(machine.decode(mask), ())
-        return any(sub.decode(mask) in halts for sub in state_slots)
+        halts = halt_states.get(mask & m_mask)
+        if halts is None:
+            return False
+        bits = format(mask, digits)
+        return any(int(bits[i : i + w_s], 2) in halts for i in starts)
 
-    return state.project(halted)
+    return Multivector._raw(
+        state.dimension, {m: c for m, c in state.terms.items() if halted(m)}
+    )
 
 
 def build_chained_superposition(
@@ -435,59 +450,74 @@ def build_chained_superposition(
     enumerated config/state sets, exactly as the free construction would fail
     to chain onto a missing input term.  Equals
     ``consistency_project(apply_all_steps(build_free_superposition(...)))``.
-    Each step is one lookup in the machine's successor memo; a miss calls
-    ``params.step_codes``, which fills it.
+
+    Each machine walks its starts as packed codes ``x | s << w_x`` (slots 1
+    and 2 are adjacent), one successor-memo lookup per step; a miss calls
+    ``params.step_codes``, which fills it.  A start repeated n times gets
+    coefficient +-n; a machine code too wide for slot 0 raises only if one of
+    its chains survives.
     """
+    machine, x_in, s_in = params.slots[:3]
+    w_x, in_offset = x_in.width, x_in.offset
     if starts is None:
         check_terms(
             len(params.machines) * params._config_count * len(params.state_codes),
             "chained superposition",
         )
-        starts = [
-            (m.code, x, s)
-            for m in params.machines
-            for x in params.config_codes
-            for s in params.state_codes
-        ]
+        # Every default code fits its slot: TruncationParams sized w_x and w_s for them.
+        ones = dict.fromkeys(
+            (x | s << w_x for x in params.config_codes for s in params.state_codes), 1
+        )
+        groups = [(m.code, ones) for m in params.machines]
     else:
         check_terms(len(starts), "chained superposition")
-    h, links = _links(params)
-    machine, x_in, s_in = params.slots[:3]
-    w_x = x_in.width
-    x_mask = ~(-1 << w_x)
-    out_offsets = [params.slots[4 * i + 3].offset for i in range(params.steps)]
-    step_codes = params.step_codes
-    successors, no_memo = params._successors, {}
-    configs, states = params._config_set, params._state_set
-
-    def chains():
+        by_machine: dict[int, dict[int, int]] = {}
         for m_code, x, s in starts:
             # Range-checked before packing: an over-wide start raises here
             # instead of aliasing another start's packed key.
-            inputs = x_in.encode(x) | s_in.encode(s)
-            memo = successors.get(m_code, no_memo)
-            code, ext = x | s << w_x, 0
-            for i, offset in enumerate(out_offsets):
-                out = memo.get(code)
-                if out is None:
-                    x, s = code & x_mask, code >> w_x
-                    if i and (x not in configs or s not in states):
-                        break  # step i-1's outputs left the enumerated sets
+            code = (x_in.encode(x) | s_in.encode(s)) >> in_offset
+            counts = by_machine.setdefault(m_code, {})
+            counts[code] = counts.get(code, 0) + 1
+        groups = by_machine.items()
+    h, links = _links(params)
+    x_mask = ~(-1 << w_x)
+    first, *rest = [params.slots[4 * i + 3].offset for i in range(params.steps)]
+    step_codes = params.step_codes
+    successors, configs, states = params._successors, params._config_set, params._state_set
+    terms: dict[int, int] = {}
+    for m_code, counts in groups:
+        get = successors.get(m_code, {}).get
+        fits = 0 <= m_code <= machine.mask
+        into = terms if fits else {}
+        m_bits = m_code.bit_count()
+        for code, count in counts.items():
+            out = get(code)
+            if out is None:
+                x, s = step_codes(m_code, code & x_mask, code >> w_x)
+                out = x | s << w_x
+            # No range check needed: TruncationParams sized w_x for every
+            # tape/head code and w_s for every machine state and reject code,
+            # so a step's outputs fit slots 4i+3 and 4i+4.
+            ext = out << first
+            for offset in rest:
+                nxt = get(out)
+                if nxt is None:
+                    x, s = out & x_mask, out >> w_x
+                    if x not in configs or s not in states:
+                        break  # the previous step's outputs left the enumerated sets
                     x, s = step_codes(m_code, x, s)
-                    out = x | s << w_x
-                # No range check needed: TruncationParams sized w_x for every
-                # tape/head code and w_s for every machine state and reject
-                # code, so a step's outputs fit slots 4i+3 and 4i+4.
-                ext |= out << offset
-                code = out
+                    nxt = x | s << w_x
+                ext |= nxt << offset
+                out = nxt
             else:
                 # Steps 1..K-1 read the previous step's outputs: ext's output
                 # blocks of steps 0..K-2, moved up one block.
-                low = machine.encode(m_code) | inputs
-                parity = ext.bit_count() * low.bit_count()
-                yield low | (ext & links) << h | ext, -1 if parity & 1 else 1
-
-    return Multivector._wrap(params.dimension, _accumulate(chains()))
+                mask = m_code | code << in_offset | (ext & links) << h | ext
+                odd = ext.bit_count() * (m_bits + code.bit_count()) & 1
+                into[mask] = -count if odd else count
+        if into and not fits:
+            machine.encode(m_code)  # raises: a chain of this machine survived
+    return Multivector._wrap(params.dimension, terms)
 
 
 def _probe_chain(

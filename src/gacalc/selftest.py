@@ -369,6 +369,27 @@ def _check_halting() -> list[PropertyResult]:
     by_decode = stepped.project(lambda m: all(a.decode(m) == b.decode(m) for a, b in links))
     ok = free == by_decode and 0 < len(free) < len(stepped)
     out.append(PropertyResult("halting-probe", "consistency-mask-matches-decode", ok))
+
+    # The instance and halt mask tests against their slot-by-slot definitions:
+    # slots 0-2 decode to (machine, input, start state); some state slot after
+    # step 0 decodes to a halt state of the machine in slot 0.
+    machine, x0, s0 = slots[:3]
+    ok = True
+    for spec in machines:
+        for x in params.config_codes:
+            want = (spec.code, x, spec.start)
+            by_decode = stepped.project(
+                lambda m: (machine.decode(m), x0.decode(m), s0.decode(m)) == want
+            )
+            ok = ok and halting.instance_project(stepped, spec, x, params) == by_decode
+    state_slots = [slots[k] for k in range(4, 4 * params.steps + 1, 2)]
+    halts = {m.code: m.halt_states for m in machines}
+    by_decode = stepped.project(
+        lambda m: any(sub.decode(m) in halts[machine.decode(m)] for sub in state_slots)
+    )
+    kept = halting.halt_project(stepped, params)
+    ok = ok and kept == by_decode and 0 < len(kept) < len(stepped)
+    out.append(PropertyResult("halting-probe", "instance-and-halt-mask-match-decode", ok))
     return out
 
 

@@ -296,6 +296,17 @@ class TestFactor:
         assert code == 2
         assert err.strip() == "usage error: operand width must be at least 1"
 
+    @pytest.mark.parametrize("route", ["fast", "faithful"])
+    def test_huge_width_refused_in_bounded_memory(self, route):
+        code, out, err, peak = traced_main(
+            ["factor", "--z", "3", "--n", "10000000", "--route", route]
+        )
+        assert code == 1 and not out
+        assert err.startswith("error: ResourceCapError: ") and "Traceback" not in err
+        if route == "faithful":
+            assert f"needs 2^128 or more terms, cap is {MAX_TERMS}" in err
+        assert peak < 1 << 20
+
     def test_faithful_route(self, capsys):
         code, report, _ = run_json(capsys, "factor", "--z", "6", "--n", "3", "--route", "faithful")
         assert code == 0

@@ -601,6 +601,21 @@ def test_check_terms_boundary():
         check_terms(MAX_TERMS + 1, "state")
 
 
+@pytest.mark.parametrize(
+    "count,size",
+    [
+        ((1 << 64) - 1, str((1 << 64) - 1)),
+        (1 << 64, "2^64 or more"),
+        (3 << 99_999, "2^100000 or more"),
+    ],
+    ids=["below-2^64", "2^64", "past-the-str-digit-limit"],
+)
+def test_check_terms_names_a_wide_count_by_its_power_of_two(count, size):
+    with pytest.raises(ResourceCapError) as refused:
+        check_terms(count, "state")
+    assert str(refused.value) == f"state needs {size} terms, cap is {MAX_TERMS}"
+
+
 def _functions_where(found):
     """``module.function`` of every node in ``src/gacalc`` for which ``found(node)``."""
     hits = set()

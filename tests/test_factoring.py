@@ -340,6 +340,21 @@ class TestPipeline:
         assert str(piped.value) == str(built.value)
         assert str(built.value) == f"factoring superposition needs {4**11} terms, cap is {MAX_TERMS}"
 
+    def test_huge_width_counts_without_forming_the_count(self):
+        fl = FactoringLayout(10**7)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match=r"needs 2\^128 or more terms"):
+                build_factoring_superposition(fl)
+            with pytest.raises(ResourceCapError, match=r"needs 2\^64 or more terms"):
+                build_factoring_superposition(fl, xs=[5])
+            assert build_factoring_superposition(fl, xs=[]).is_zero()
+            assert build_factoring_superposition(fl, ys=()).is_zero()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_readout_at_any_stage_is_nondestructive(self):
         fl = FactoringLayout(3)
         state = build_factoring_superposition(fl)

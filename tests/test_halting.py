@@ -16,6 +16,7 @@ from gacalc.halting import (
     TMSpec,
     Transition,
     TruncationParams,
+    _links,
     apply_all_steps,
     apply_step_operator,
     bounded_halt_probe,
@@ -108,6 +109,29 @@ def decode_instance(state: Multivector, spec: TMSpec, input_code: int, params) -
     machine, x0, s0 = params.slots[:3]
     want = (spec.code, input_code, spec.start)
     return state.project(lambda m: (machine.decode(m), x0.decode(m), s0.decode(m)) == want)
+
+
+def decode_halt(state: Multivector, params: TruncationParams) -> Multivector:
+    """Reference: some state slot 4i+4, or 4i+2 with i >= 1, decodes to a halt state."""
+    machine = params.slots[0]
+    state_slots = [params.slots[4 * i + 4] for i in range(params.steps)]
+    state_slots += [params.slots[4 * i + 2] for i in range(1, params.steps)]
+    halt_states = {m.code: m.halt_states for m in params.machines}
+
+    def halted(mask: int) -> bool:
+        halts = halt_states.get(machine.decode(mask), ())
+        return any(sub.decode(mask) in halts for sub in state_slots)
+
+    return state.project(halted)
+
+
+def or_links(params: TruncationParams) -> tuple[int, int]:
+    """Reference ``_links``: the block distance and the OR of steps 0..K-2's output slots."""
+    slots = params.slots
+    out = 0
+    for i in range(params.steps - 1):
+        out |= slots[4 * i + 3].mask | slots[4 * i + 4].mask
+    return slots[3].offset - slots[1].offset, out
 
 
 def assert_same_terms(got: Multivector, want: Multivector) -> None:
@@ -688,6 +712,105 @@ class TestChainBuild:
                 build(params, starts)
 
 
+    def test_repeated_start_sums_its_sign(self):
+        params = TruncationParams(list(CORPUS.values()), 3, 2)
+        chains = stepwise_chains(params)
+        minus = next(m for m, c in chains.terms.items() if c == -1)
+        plus = next(m for m, c in chains.terms.items() if c == 1)
+        minus_start, plus_start = (
+            tuple(sub.decode(m) for sub in params.slots[:3]) for m in (minus, plus)
+        )
+        starts = [minus_start, plus_start, minus_start, plus_start, plus_start]
+        built = build_chained_superposition(params, starts)
+        assert dict(built.terms) == {minus: -2, plus: 3}
+        assert_same_terms(built, stepwise_chains(params, starts))
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("state_codes", [[0, 1], [1, 2]])
+    def test_machine_code_outside_the_set(self, steps, state_codes):
+        # An unknown code steps to reject_code 0: the chain survives K = 1,
+        # and longer ones only if 0 is an enumerated state.
+        params = TruncationParams([CORPUS["bb2"]], steps, 2, state_codes=state_codes)
+        unknown = CORPUS["bb1"].code
+        starts = [(unknown, x, 1) for x in (0, 5)] + [(CORPUS["bb2"].code, 0, 1)]
+        built = build_chained_superposition(params, starts)
+        assert_same_terms(built, stepwise_chains(params, starts))
+        survivors = {m & params.slots[0].mask for m in built.masks()}
+        assert (unknown in survivors) == (steps == 1 or 0 in state_codes)
+
+    @pytest.mark.parametrize(
+        "config_codes,state_codes,counts",
+        [
+            ([0, 1, 4, 5], [0, 1], [96, 61, 53, 53]),
+            ([0, 3, 5, 6, 9], [1, 2], [120, 88, 88, 88]),
+        ],
+    )
+    def test_restricted_sets_drop_chains_after_step_zero(
+        self, config_codes, state_codes, counts
+    ):
+        got = []
+        for steps in range(1, 5):
+            params = TruncationParams(
+                list(CORPUS.values()),
+                steps,
+                2,
+                config_codes=config_codes,
+                state_codes=state_codes,
+            )
+            built = build_chained_superposition(params)
+            assert_same_terms(built, stepwise_chains(params))
+            got.append(len(built))
+        assert got == counts  # chains drop at step 1, and in the first case at step 2
+
+    def test_one_step(self):
+        # At K = 1 nothing links: every distinct start, in the sets or not, keeps its chain.
+        params = TruncationParams(
+            [CORPUS["bb2"], CORPUS["seeker"]], 1, 3, config_codes=[0, 7, 9], state_codes=[0, 1]
+        )
+        unknown = next(c for c in range(1 << 8) if c not in params.machine_by_code)
+        starts = [
+            (m, x, s) for m in (CORPUS["bb2"].code, unknown) for x in (0, 1, 9) for s in (0, 3)
+        ]
+        built = build_chained_superposition(params, starts)
+        assert len(built) == len(starts)
+        assert_same_terms(built, stepwise_chains(params, starts))
+        assert_same_terms(build_chained_superposition(params), stepwise_chains(params))
+
+    @pytest.mark.parametrize("build", [build_chained_superposition, stepwise_chains])
+    def test_machine_code_too_wide_for_slot_zero(self, build):
+        # The code is range-checked only when one of its chains survives: its
+        # chains step to reject_code 0, which the state set [1, 2] leaves out.
+        bb2 = CORPUS["bb2"]
+        wide = 1 << TruncationParams([bb2], 1, 2).slots[0].width
+        kept = (bb2.code, 0, bb2.start)
+        dropped = TruncationParams([bb2], 2, 2, state_codes=[1, 2])
+        assert_same_terms(
+            build(dropped, [(wide, 0, 1), kept, (wide, 5, 2)]),
+            stepwise_chains(dropped, [kept]),
+        )
+        for params in (
+            TruncationParams([bb2], 1, 2, state_codes=[1, 2]),
+            TruncationParams([bb2], 2, 2, state_codes=[0, 1, 2]),
+        ):
+            with pytest.raises(EncodingRangeError):
+                build(params, [kept, (wide, 0, 1)])
+
+    def test_corpus_build_fills_each_successor_memo_once(self):
+        # One step_codes call per enumerated (config, state) input and machine,
+        # all at step 0, which is where every default start reads its input.
+        params = TruncationParams(list(CORPUS.values()), 8, 6)
+        calls = []
+        step_codes = params.step_codes
+        params.step_codes = lambda *args: calls.append(args) or step_codes(*args)
+        chain = build_chained_superposition(params)
+        inputs = (6 << 6) * len(params.state_codes)
+        assert len(chain) == len(CORPUS) * inputs == 18_432
+        assert len(calls) == 18_432
+        assert [len(memo) for memo in params._successors.values()] == [inputs] * len(CORPUS)
+        assert_same_terms(build_chained_superposition(params), chain)
+        assert len(calls) == 18_432  # the second build reads the memos only
+
+
 class TestProjectionReferences:
     """Mask-level projections against their slot-by-slot definitions."""
 
@@ -713,6 +836,37 @@ class TestProjectionReferences:
                         instance_project(state, spec, x, params),
                         decode_instance(state, spec, x, params),
                     )
+            assert_same_terms(halt_project(state, params), decode_halt(state, params))
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5])
+    def test_halt_mask_on_corpus_chains(self, steps):
+        params = TruncationParams(list(CORPUS.values()), steps, 2)
+        chain = build_chained_superposition(params)
+        kept = halt_project(chain, params)
+        assert_same_terms(kept, decode_halt(chain, params))
+        assert 0 < len(kept) < len(chain)
+        # A term whose slot 0 names no enumerated machine never counts as halted.
+        unknown = next(c for c in range(1 << 8) if c not in params.machine_by_code)
+        slot0 = params.slots[0].mask
+        stray = Multivector(params.dimension, {m & ~slot0 | unknown: 1 for m in kept.masks()})
+        assert halt_project(stray, params).is_zero() and decode_halt(stray, params).is_zero()
+
+    @pytest.mark.parametrize("steps", [1, 2, 5, 40])
+    @pytest.mark.parametrize("name", ["bb1", "loop3", "halt-now", "runner-right"])
+    def test_halt_mask_on_probe_chains(self, name, steps):
+        spec = CORPUS[name]
+        params = TruncationParams([spec], steps, 4)
+        for config in (blank(4), blank(4, 3), parse_tape("0110", 4, 1)):
+            chain = build_chained_superposition(params, [(spec.code, config.code, spec.start)])
+            kept = halt_project(chain, params)
+            assert_same_terms(kept, decode_halt(chain, params))
+            assert kept.is_zero() != run_direct(spec, config, steps)[0]
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 40])
+    @pytest.mark.parametrize("cells", [1, 4])
+    def test_links_match_slot_masks(self, steps, cells):
+        params = TruncationParams(list(CORPUS.values()), steps, cells)
+        assert _links(params) == or_links(params)
 
 
 class TestBoundedProbe:
