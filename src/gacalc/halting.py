@@ -1,23 +1,23 @@
 """Bounded halting probe over blade-coded Turing-machine step chains.
 
 A machine table, a tape configuration and a control state are each coded as
-integers and placed in dedicated subspaces: subspace 0 holds the machine
-code, and step i owns four slots: 4i+1 (memory in), 4i+2 (state in), 4i+3
-(memory out), 4i+4 (state out).  The step operator reads each term's slots
-4i+1 / 4i+2, computes one machine step and writes the results into 4i+3 /
-4i+4.  A consistency projection keeps the terms whose step outputs equal the
-next step's inputs; projecting further onto one machine and input and then
-onto "some state slot is a halt state" decides whether that machine halts
+integers.  The machine code fills the lowest w_m bits.  Above it lie 2K
+blocks of h = w_x + w_s bits, each holding one packed (memory, state) pair
+``x | s << w_x``: block b starts at bit w_m + b*h, block 2i is step i's
+input and block 2i+1 its output.  The step operator reads each term's block
+2i, computes one machine step and writes the result into block 2i+1.  A
+consistency projection keeps the terms whose step outputs equal the next
+step's inputs; projecting further onto one machine and input and then onto
+"some state field is a halt state" decides whether that machine halts
 WITHIN the configured number of steps.
 
-Slot layout invariant: slots are contiguous and ascending in index, and step
-i's quadruple has widths (w_x, w_s, w_x, w_s).  So each (memory, state) block
-is h = w_x + w_s bits wide, step i's output block lies exactly h bits below
-step i+1's input block with the same widths in the same order, and every
-step's output block lies above all earlier steps' slots.  The projections
-are therefore one mask test per term: consistency is
+Block layout invariant: every block has the same width and packing, so step
+i's output block lies exactly h bits below step i+1's input block, and
+every step's output block lies above all earlier steps' blocks.  The
+projections are therefore one mask test per term: consistency is
 ``(m & OUT) << h == m & (OUT << h)``, with OUT the output blocks of steps
-0..K-2, and the instance projection is ``m & SEL == WANT`` over slots 0-2.
+0..K-2, and the instance projection is ``m & SEL == WANT`` over the machine
+code and block 0.
 
 Chain sign: the chained construction multiplies each step's output pair
 ext_i onto the chain from the left, ext_{K-1} ... ext_0 base, where base is
@@ -56,7 +56,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .core import Multivector, blade_mul, check_terms
-from .encoding import SubspaceLayout
+from .encoding import EncodingRangeError
 
 MOVES = ("L", "R")
 
@@ -205,11 +205,14 @@ def run_direct(spec: TMSpec, config: Config, max_steps: int) -> tuple[bool, int 
 
 
 class TruncationParams:
-    """Finite bounds and enumerated sets for the probe, plus the slot layout.
+    """Finite bounds and enumerated sets for the probe, plus the block widths.
 
-    Slot subspaces are named by their index: "0" for the machine code, then
-    per step i the quadruple str(4i+1)..str(4i+4).  ``slots[k]`` is the
-    subspace of slot k, so per-term code reads slots by index, not by name.
+    Four widths are the whole layout: the machine code takes the lowest
+    ``w_m`` bits, and block b, ``h = w_x + w_s`` bits holding ``x | s << w_x``,
+    starts at bit ``w_m + b*h``.  Step i reads block 2i and writes block
+    2i+1, so ``dimension = w_m + 2*h*steps``, and nothing here grows with the
+    step count.  Every code a step can read or write fits its field, which is
+    why the per-term code shifts without a range check.
 
     The default configuration set, every ``tape | head << cells`` code, is
     ``range(cells << cells)``: it is never enumerated unless iterated, so a
@@ -231,6 +234,8 @@ class TruncationParams:
             raise ValueError("tape must have at least one cell")
         if not machines:
             raise ValueError("machine set must not be empty")
+        if reject_code < 0:
+            raise ValueError(f"reject_code {reject_code} is negative")
         codes = [m.code for m in machines]
         if len(set(codes)) != len(codes):
             raise ValueError("machine codes collide within the machine set")
@@ -245,43 +250,32 @@ class TruncationParams:
             self._config_count = cells << cells
             self.config_codes = self._config_set = range(self._config_count)
         else:
-            self.config_codes = tuple(config_codes)
+            self.config_codes = _code_set(config_codes, "config_codes")
             self._config_set = frozenset(self.config_codes)
             self._config_count = len(self.config_codes)
             w_x = max(w_x, max(self.config_codes).bit_length())
         if state_codes is None:
-            state_codes = list(range(max(m.num_states for m in machines)))
-        self.state_codes = tuple(state_codes)
+            state_codes = range(max(m.num_states for m in machines))
+        self.state_codes = _code_set(state_codes, "state_codes")
         self._state_set = frozenset(self.state_codes)
         self.reject_code = reject_code
 
-        w_m = max(1, max(codes).bit_length())
-        # Output slots must fit every state a step can emit, not only the
+        self.w_m = max(1, max(codes).bit_length())
+        self.w_x = w_x
+        # Output fields must fit every state a step can emit, not only the
         # enumerated input codes: any machine state plus the reject codes.
-        w_s = max(
+        self.w_s = max(
             1,
             max(self.state_codes).bit_length(),
             reject_code.bit_length(),
             max(m.num_states - 1 for m in machines).bit_length(),
         )
-        widths = [("0", w_m)]
-        for i in range(steps):
-            widths += [
-                (str(4 * i + 1), w_x),
-                (str(4 * i + 2), w_s),
-                (str(4 * i + 3), w_x),
-                (str(4 * i + 4), w_s),
-            ]
-        self.layout = SubspaceLayout(widths)
-        self.slots = tuple(self.layout.subspaces)
+        self.h = w_x + self.w_s
+        self.dimension = self.w_m + 2 * self.h * steps
         # Per machine: packed input ``x | s << w_x`` -> packed output, filled
         # by ``step_codes`` for in-set inputs only, whose codes fit w_x and w_s
         # and so never alias a packed key.
         self._successors: dict[int, dict[int, int]] = {m.code: {} for m in machines}
-
-    @property
-    def dimension(self) -> int:
-        return self.layout.total_dim
 
     def step_codes(self, machine_code: int, x: int, s: int) -> tuple[int, int]:
         """One step at the level of integer codes, with the REJECT conventions.
@@ -294,7 +288,7 @@ class TruncationParams:
             return x, self.reject_code
         if x not in self._config_set or s not in self._state_set:
             return x, spec.reject
-        w_x, cells = self.slots[1].width, self.cells
+        w_x, cells = self.w_x, self.cells
         memo = self._successors[machine_code]
         key = x | s << w_x
         out = memo.get(key)
@@ -313,6 +307,14 @@ class TruncationParams:
         return out & ~(-1 << w_x), out >> w_x
 
 
+def _code_set(codes: Iterable[int], name: str) -> tuple[int, ...]:
+    """``codes`` as a tuple, refused by name when empty or negative."""
+    codes = tuple(codes)
+    if not codes or min(codes) < 0:
+        raise ValueError(f"{name} must be a nonempty set of nonnegative codes")
+    return codes
+
+
 def build_free_superposition(params: TruncationParams) -> Multivector:
     """Every machine crossed with free per-step input choices, outputs empty.
 
@@ -321,22 +323,13 @@ def build_free_superposition(params: TruncationParams) -> Multivector:
     """
     pairs = params._config_count * len(params.state_codes)
     check_terms(len(params.machines) * pairs**params.steps, "free superposition")
-    slots = params.slots
+    w_m, w_x, h = params.w_m, params.w_x, params.h
+    codes = [x | s << w_x for x in params.config_codes for s in params.state_codes]
+    inputs = [[code << w_m + 2 * i * h for code in codes] for i in range(params.steps)]
     terms = {}
-    slot_pairs = []
-    for i in range(params.steps):
-        x_in, s_in = slots[4 * i + 1], slots[4 * i + 2]
-        slot_pairs.append(
-            [
-                x_in.encode(x) | s_in.encode(s)
-                for x in params.config_codes
-                for s in params.state_codes
-            ]
-        )
     for spec in params.machines:
-        base = slots[0].encode(spec.code)
-        for combo in product(*slot_pairs):
-            mask = base
+        for combo in product(*inputs):
+            mask = spec.code
             for part in combo:
                 mask |= part
             terms[mask] = 1
@@ -344,14 +337,15 @@ def build_free_superposition(params: TruncationParams) -> Multivector:
 
 
 def apply_step_operator(state: Multivector, i: int, params: TruncationParams) -> Multivector:
-    """Fill step i's output slots from its input slots on every term."""
+    """Fill step i's output block 2i+1 from its input block 2i on every term."""
     if not 0 <= i < params.steps:
         raise ValueError(f"step index {i} outside [0, {params.steps})")
     if state.dimension != params.dimension:
         raise ValueError(f"state dimension {state.dimension}, parameters need {params.dimension}")
-    machine = params.slots[0]
-    x_in, s_in, x_out, s_out = params.slots[4 * i + 1 : 4 * i + 5]
-    out_region = x_out.mask | s_out.mask
+    w_x, h = params.w_x, params.h
+    at = params.w_m + 2 * i * h
+    m_mask, x_mask, block = ~(-1 << params.w_m), ~(-1 << w_x), ~(-1 << h)
+    out_region = block << at + h
     step_codes = params.step_codes
 
     def step(mask: int) -> tuple[int, int]:
@@ -359,8 +353,9 @@ def apply_step_operator(state: Multivector, i: int, params: TruncationParams) ->
             raise TargetSlotOccupiedError(
                 f"output slots of step {i} are not empty in every term"
             )
-        x, s = step_codes(machine.decode(mask), x_in.decode(mask), s_in.decode(mask))
-        return blade_mul(x_out.encode(x) | s_out.encode(s), mask)
+        code = mask >> at & block
+        x, s = step_codes(mask & m_mask, code & x_mask, code >> w_x)
+        return blade_mul((x | s << w_x) << at + h, mask)
 
     return state.map_blades(step)
 
@@ -371,23 +366,22 @@ def apply_all_steps(state: Multivector, params: TruncationParams) -> Multivector
     return state
 
 
-def _links(params: TruncationParams) -> tuple[int, int]:
-    """``(h, out)``: the block distance and the output blocks of steps 0..K-2.
+def _links(params: TruncationParams) -> int:
+    """The output blocks of steps 0..K-2: blocks 1, 3, ..., 2K-3.
 
-    Step i's output block (slots 4i+3, 4i+4) is ``h`` bits below step i+1's
-    input block (slots 4i+5, 4i+6), so ``out << h`` covers the input blocks
-    of steps 1..K-1; ``out`` is 0 when K = 1.  The blocks repeat every 2h
-    bits from slot 3, so ``out`` is one repeated bit pattern.
+    Step i's output block is ``h`` bits below step i+1's input block, so
+    ``out << h`` covers the input blocks of steps 1..K-1; ``out`` is 0 when
+    K = 1.  The blocks repeat every 2h bits from block 1, so ``out`` is one
+    repeated bit pattern.
     """
-    slots = params.slots
-    h = slots[3].offset - slots[1].offset
+    h = params.h
     out = int("0" + ("0" * h + "1" * h) * (params.steps - 1), 2)
-    return h, out << slots[3].offset
+    return out << params.w_m + h
 
 
 def consistency_project(state: Multivector, params: TruncationParams) -> Multivector:
     """Keep terms where each step's outputs equal the next step's inputs."""
-    h, out = _links(params)
+    h, out = params.h, _links(params)
     nxt = out << h
     return Multivector._raw(
         state.dimension,
@@ -398,31 +392,30 @@ def consistency_project(state: Multivector, params: TruncationParams) -> Multive
 def instance_project(
     state: Multivector, spec: TMSpec, input_code: int, params: TruncationParams
 ) -> Multivector:
-    """Keep terms of one machine with one input and its start state in step 0."""
+    """Keep terms of one machine with one input and its start state in block 0."""
     if spec.code not in params.machine_by_code:
         raise ValueError("machine is not part of the enumerated machine set")
     if input_code not in params._config_set:
         raise ValueError(f"input config code {input_code} outside the enumerated set")
-    machine, x0, s0 = params.slots[:3]
-    select = machine.mask | x0.mask | s0.mask
+    w_m = params.w_m
+    select = ~(-1 << w_m + params.h)  # the machine code and block 0
     # Unchecked shifts: the code and input fit by the checks above, and a
-    # start state too wide for slot 2 spills outside ``select``, so no term
-    # matches, as no slot-2 value would equal it.
-    want = spec.code << machine.offset | input_code << x0.offset | spec.start << s0.offset
+    # start state too wide for its field spills outside ``select``, so no
+    # term matches, as no field value would equal it.
+    want = spec.code | (input_code | spec.start << params.w_x) << w_m
     return Multivector._raw(
         state.dimension, {m: c for m, c in state.terms.items() if m & select == want}
     )
 
 
 def halt_project(state: Multivector, params: TruncationParams) -> Multivector:
-    """Keep terms where some state slot after step 0 holds a halt state.
+    """Keep terms where some state field after step 0 holds a halt state.
 
-    Those are the 2K-1 slots 4, 6, ..., 4K, every h bits from slot 2 up to the
-    top of the layout: in the mask's full-width binary string, the w_s-digit
+    Those are the state fields of blocks 1..2K-1, every h bits from the top
+    of the layout down: in the mask's full-width binary string, the w_s-digit
     fields at positions 0, h, ..., (2K-2)h, so each term costs O(K).
     """
-    m_mask, w_s = params.slots[0].mask, params.slots[2].width
-    h = params.slots[3].offset - params.slots[1].offset
+    m_mask, w_s, h = ~(-1 << params.w_m), params.w_s, params.h
     starts = range(0, (2 * params.steps - 1) * h, h)
     digits = f"0{params.dimension}b"
     halt_states = {m.code: m.halt_states for m in params.machines}
@@ -451,43 +444,44 @@ def build_chained_superposition(
     to chain onto a missing input term.  Equals
     ``consistency_project(apply_all_steps(build_free_superposition(...)))``.
 
-    Each machine walks its starts as packed codes ``x | s << w_x`` (slots 1
-    and 2 are adjacent), one successor-memo lookup per step; a miss calls
-    ``params.step_codes``, which fills it.  A start repeated n times gets
-    coefficient +-n; a machine code too wide for slot 0 raises only if one of
-    its chains survives.
+    Each machine walks its starts as packed blocks ``x | s << w_x``, one
+    successor-memo lookup per step; a miss calls ``params.step_codes``,
+    which fills it.  A start repeated n times gets coefficient +-n; a machine
+    code too wide for its field raises only if one of its chains survives.
+    The cap counts chains x 2K blocks, so it bounds the step count as well
+    as the starts.
     """
-    machine, x_in, s_in = params.slots[:3]
-    w_x, in_offset = x_in.width, x_in.offset
+    w_m, w_x, w_s, h = params.w_m, params.w_x, params.w_s, params.h
+    per_machine = params._config_count * len(params.state_codes)
+    chains = len(params.machines) * per_machine if starts is None else len(starts)
+    check_terms(chains * 2 * params.steps, "chained superposition")
     if starts is None:
-        check_terms(
-            len(params.machines) * params._config_count * len(params.state_codes),
-            "chained superposition",
-        )
-        # Every default code fits its slot: TruncationParams sized w_x and w_s for them.
+        # Every default code fits its field: TruncationParams sized w_x and w_s for them.
         ones = dict.fromkeys(
             (x | s << w_x for x in params.config_codes for s in params.state_codes), 1
         )
         groups = [(m.code, ones) for m in params.machines]
     else:
-        check_terms(len(starts), "chained superposition")
         by_machine: dict[int, dict[int, int]] = {}
         for m_code, x, s in starts:
             # Range-checked before packing: an over-wide start raises here
-            # instead of aliasing another start's packed key.
-            code = (x_in.encode(x) | s_in.encode(s)) >> in_offset
+            # instead of aliasing another start's packed block.
+            if x < 0 or x >> w_x or s < 0 or s >> w_s:
+                raise EncodingRangeError(f"start ({x}, {s}) does not fit the input block")
+            code = x | s << w_x
             counts = by_machine.setdefault(m_code, {})
             counts[code] = counts.get(code, 0) + 1
         groups = by_machine.items()
-    h, links = _links(params)
+    links = _links(params)
     x_mask = ~(-1 << w_x)
-    first, *rest = [params.slots[4 * i + 3].offset for i in range(params.steps)]
+    first = w_m + h  # block 1, step 0's output; step i's is block 2i+1
+    rest = range(first + 2 * h, params.dimension, 2 * h)
     step_codes = params.step_codes
     successors, configs, states = params._successors, params._config_set, params._state_set
     terms: dict[int, int] = {}
     for m_code, counts in groups:
         get = successors.get(m_code, {}).get
-        fits = 0 <= m_code <= machine.mask
+        fits = 0 <= m_code and not m_code >> w_m
         into = terms if fits else {}
         m_bits = m_code.bit_count()
         for code, count in counts.items():
@@ -497,7 +491,7 @@ def build_chained_superposition(
                 out = x | s << w_x
             # No range check needed: TruncationParams sized w_x for every
             # tape/head code and w_s for every machine state and reject code,
-            # so a step's outputs fit slots 4i+3 and 4i+4.
+            # so a step's outputs fit its output block.
             ext = out << first
             for offset in rest:
                 nxt = get(out)
@@ -512,11 +506,11 @@ def build_chained_superposition(
             else:
                 # Steps 1..K-1 read the previous step's outputs: ext's output
                 # blocks of steps 0..K-2, moved up one block.
-                mask = m_code | code << in_offset | (ext & links) << h | ext
+                mask = m_code | code << w_m | (ext & links) << h | ext
                 odd = ext.bit_count() * (m_bits + code.bit_count()) & 1
                 into[mask] = -count if odd else count
-        if into and not fits:
-            machine.encode(m_code)  # raises: a chain of this machine survived
+        if into and not fits:  # a chain of this machine survived
+            raise EncodingRangeError(f"machine code {m_code} does not fit {w_m} bits")
     return Multivector._wrap(params.dimension, terms)
 
 
@@ -559,6 +553,7 @@ def probe_report(spec: TMSpec, config: Config, steps: int, mode: str = "both") -
     """Run the blade probe and/or the direct simulation; report agreement."""
     if mode not in ("ga", "direct", "both"):
         raise ValueError(f"unknown mode {mode!r}")
+    check_terms(2 * steps, "probe chain")  # the chain build's count, so every mode refuses it
     out: dict = {
         "machine": spec.name or f"code-{spec.code}",
         "steps": steps,

@@ -360,11 +360,10 @@ def _check_halting() -> list[PropertyResult]:
 
     # The mask test against the slot-by-slot definition: each step output
     # slot k decodes to the same value as the next step's input slot k + 2.
-    slots = params.slots
+    widths = [params.w_m] + [params.w_x, params.w_s] * 2 * params.steps
+    slots = encoding.SubspaceLayout([(str(k), w) for k, w in enumerate(widths)]).subspaces
     links = [
-        (slots[k], slots[k + 2])
-        for i in range(params.steps - 1)
-        for k in (4 * i + 3, 4 * i + 4)
+        (slots[k], slots[k + 2]) for i in range(params.steps - 1) for k in (4 * i + 3, 4 * i + 4)
     ]
     by_decode = stepped.project(lambda m: all(a.decode(m) == b.decode(m) for a, b in links))
     ok = free == by_decode and 0 < len(free) < len(stepped)

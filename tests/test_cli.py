@@ -2,6 +2,7 @@
 import io
 import json
 import re
+import signal
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -511,7 +512,7 @@ def _halt_probe_argv(draw, directory):
     if broken == "machine":
         machine = _broken_machine_file(draw, directory)
     elif broken == "steps":
-        steps = draw(st.integers(-2, 0))
+        steps = draw(st.integers(-2, 0) | st.just(10**30))
     elif broken == "tape":
         tape = draw(st.integers(-2, 0))
     elif broken == "head":
@@ -538,6 +539,29 @@ class TestHaltProbeArgv:
         assert peak < 8 << 20
         if code == 0 and "--mode=both" in argv:
             assert json.loads(out)["result"]["agreement"] is True
+
+    @pytest.mark.parametrize("mode", ["both", "ga", "direct"])
+    def test_huge_step_count_is_refused(self, mode):
+        # loop3 never halts, so a walk or a direct run of 10^30 steps would
+        # not finish; the alarm turns such a hang into an error that fails.
+        argv = [
+            "halt-probe", f"--machine={MACHINES / 'loop3.json'}", "--input=0110",
+            f"--steps={10**30}", "--tape=4", f"--mode={mode}",
+        ]
+
+        def hang(*_):
+            raise TimeoutError("halt-probe did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(20)
+        try:
+            code, _, err, peak = traced_main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1
+        assert "ResourceCapError: probe chain needs 2^100 or more terms" in err
+        assert peak < 1 << 20
 
 
 class TestCircuit:

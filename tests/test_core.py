@@ -656,6 +656,7 @@ def test_one_term_cap_mechanism():
         "factoring.build_factoring_superposition",
         "halting.build_free_superposition",
         "halting.build_chained_superposition",
+        "halting.probe_report",
     }
 
 

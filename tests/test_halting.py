@@ -1,6 +1,7 @@
 """Bounded halting probe: codecs, step operator, projections, oracle agreement."""
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gacalc.core import MAX_TERMS, Multivector, ResourceCapError, blade_mul, to_records
-from gacalc.encoding import EncodingRangeError, encode
+from gacalc.encoding import EncodingRangeError, SubspaceLayout, encode
 from gacalc.halting import (
     Config,
     MachineFormatError,
@@ -45,6 +46,29 @@ def blank(cells: int, head: int = 0) -> Config:
 # --- references: slot-by-slot definitions that the mask-level code must equal --
 
 
+def slot_layout(params: TruncationParams) -> SubspaceLayout:
+    """Reference geometry: slot 0 holds the machine code, then step i owns
+    slots 4i+1..4i+4 (memory in, state in, memory out, state out).
+
+    The widths are worked out here from the sets, as documented: the memory
+    slots fit every tape/head code and enumerated config, the state slots
+    every enumerated state, machine state and the reject code.
+    """
+    cells = params.cells
+    w_m = max(1, max(m.code for m in params.machines).bit_length())
+    w_x = max(cells + (cells - 1).bit_length(), max(params.config_codes).bit_length())
+    w_s = max(
+        1,
+        max(params.state_codes).bit_length(),
+        params.reject_code.bit_length(),
+        max(m.num_states - 1 for m in params.machines).bit_length(),
+    )
+    widths = [("0", w_m)]
+    for i in range(params.steps):
+        widths += [(str(4 * i + k), w) for k, w in zip((1, 2, 3, 4), (w_x, w_s, w_x, w_s))]
+    return SubspaceLayout(widths)
+
+
 def reference_step_codes(params: TruncationParams, machine_code: int, x: int, s: int):
     """Reference step on codes: ``tm_step`` on a ``Config`` and a state int, no memo."""
     spec = params.machine_by_code.get(machine_code)
@@ -71,7 +95,7 @@ def stepwise_chains(params: TruncationParams, starts=None) -> Multivector:
             for s in params.state_codes
         ]
     configs, states = set(params.config_codes), set(params.state_codes)
-    slots = params.slots
+    slots = slot_layout(params).subspaces
     last = params.steps - 1
     acc: dict[int, int] = {}
     for m_code, x, s in starts:
@@ -95,7 +119,7 @@ def stepwise_chains(params: TruncationParams, starts=None) -> Multivector:
 
 def decode_consistency(state: Multivector, params: TruncationParams) -> Multivector:
     """Reference: each step output slot k decodes equal to the next input slot k + 2."""
-    slots = params.slots
+    slots = slot_layout(params).subspaces
     links = [
         (slots[k], slots[k + 2])
         for i in range(params.steps - 1)
@@ -106,16 +130,17 @@ def decode_consistency(state: Multivector, params: TruncationParams) -> Multivec
 
 def decode_instance(state: Multivector, spec: TMSpec, input_code: int, params) -> Multivector:
     """Reference: slots 0, 1 and 2 decode to (machine code, input, start state)."""
-    machine, x0, s0 = params.slots[:3]
+    machine, x0, s0 = slot_layout(params).subspaces[:3]
     want = (spec.code, input_code, spec.start)
     return state.project(lambda m: (machine.decode(m), x0.decode(m), s0.decode(m)) == want)
 
 
 def decode_halt(state: Multivector, params: TruncationParams) -> Multivector:
     """Reference: some state slot 4i+4, or 4i+2 with i >= 1, decodes to a halt state."""
-    machine = params.slots[0]
-    state_slots = [params.slots[4 * i + 4] for i in range(params.steps)]
-    state_slots += [params.slots[4 * i + 2] for i in range(1, params.steps)]
+    slots = slot_layout(params).subspaces
+    machine = slots[0]
+    state_slots = [slots[4 * i + 4] for i in range(params.steps)]
+    state_slots += [slots[4 * i + 2] for i in range(1, params.steps)]
     halt_states = {m.code: m.halt_states for m in params.machines}
 
     def halted(mask: int) -> bool:
@@ -127,7 +152,7 @@ def decode_halt(state: Multivector, params: TruncationParams) -> Multivector:
 
 def or_links(params: TruncationParams) -> tuple[int, int]:
     """Reference ``_links``: the block distance and the OR of steps 0..K-2's output slots."""
-    slots = params.slots
+    slots = slot_layout(params).subspaces
     out = 0
     for i in range(params.steps - 1):
         out |= slots[4 * i + 3].mask | slots[4 * i + 4].mask
@@ -341,11 +366,61 @@ class TestStepCodes:
                 assert reference_step_codes(params, *case) == want, case
 
 
-def test_slots_are_the_layout_subspaces_in_index_order():
-    params = TruncationParams([CORPUS["bb2"]], 3, 3)
-    assert len(params.slots) == 4 * 3 + 1
-    for k, sub in enumerate(params.slots):
-        assert sub is params.layout[str(k)]
+class TestTruncationParams:
+    def test_slot_geometry_is_closed_form(self):
+        # Each reference slot sits where the four widths put it: slot k >= 1
+        # is the memory (k odd) or state (k even) field of block (k - 1) // 2,
+        # which starts at w_m + block * h.
+        corpus = list(CORPUS.values())
+        cases = [(corpus, k, cells, {}) for k in (1, 2, 3, 7, 40) for cells in (1, 4, 6)]
+        cases += [
+            (corpus, 3, 2, dict(config_codes=[0, 3, 5, 6, 9], state_codes=[1, 2])),
+            ([CORPUS["bb2"]], 2, 2, dict(config_codes=[0, 1, 4, 5], state_codes=[0, 1])),
+            (corpus, 7, 4, dict(config_codes=[1 << 12], state_codes=[5])),
+            ([CORPUS["bb1"]], 40, 1, dict(reject_code=1 << 9)),
+        ]
+        for machines, steps, cells, sets in cases:
+            params = TruncationParams(machines, steps, cells, **sets)
+            layout = slot_layout(params)
+            w_m, w_x, w_s, h = params.w_m, params.w_x, params.w_s, params.h
+            assert h == w_x + w_s
+            assert (layout["0"].offset, layout["0"].width) == (0, w_m)
+            for k in range(1, 4 * steps + 1):
+                block, is_state = divmod(k - 1, 2)
+                want = (w_m + block * h + is_state * w_x, w_s if is_state else w_x)
+                assert (layout[str(k)].offset, layout[str(k)].width) == want, (steps, sets, k)
+            assert params.dimension == layout.total_dim == w_m + 2 * h * steps
+
+    def test_construction_does_not_grow_with_steps(self):
+        machines = list(CORPUS.values())
+        start = time.perf_counter()
+        TruncationParams(machines, 10**6, 6)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            params = TruncationParams(machines, 10**6, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert params.dimension == params.w_m + 2 * params.h * 10**6
+        assert peak < 64 << 10
+        assert elapsed < 0.1
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            dict(config_codes=[]),
+            dict(config_codes=[-1, 0]),
+            dict(state_codes=[]),
+            dict(state_codes=[-1, 0]),
+            dict(reject_code=-1),
+        ],
+        ids=["configs-empty", "configs-negative", "states-empty", "states-negative", "reject"],
+    )
+    def test_bad_code_sets_are_refused_by_name(self, sets):
+        (name,) = sets
+        with pytest.raises(ValueError, match=name):
+            TruncationParams([CORPUS["bb1"]], 1, 2, **sets)
 
 
 class TestFreeConstruction:
@@ -363,7 +438,7 @@ class TestFreeConstruction:
 
     def test_slot_values_come_from_the_sets(self):
         params = TruncationParams([CORPUS["bb1"]], steps=1, cells=1)
-        layout = params.layout
+        layout = slot_layout(params)
         from gacalc.encoding import decode
 
         for mask in build_free_superposition(params).masks():
@@ -414,7 +489,7 @@ class TestStepOperator:
     def test_single_term_hand_checked(self):
         spec = CORPUS["bb1"]
         params = TruncationParams([spec], steps=1, cells=2)
-        layout = params.layout
+        layout = slot_layout(params)
         x0 = blank(2).code
         term = Multivector.blade(
             params.dimension,
@@ -432,7 +507,7 @@ class TestStepOperator:
     def test_linearity_over_terms(self):
         spec = CORPUS["bb2"]
         params = TruncationParams([spec], steps=1, cells=2)
-        layout = params.layout
+        layout = slot_layout(params)
 
         def term(x, s):
             return Multivector.blade(
@@ -452,7 +527,7 @@ class TestStepOperator:
     def test_occupied_output_slot(self):
         spec = CORPUS["bb1"]
         params = TruncationParams([spec], steps=1, cells=1)
-        layout = params.layout
+        layout = slot_layout(params)
         term = Multivector.blade(
             params.dimension,
             encode(spec.code, "0", layout) | encode(1, "3", layout),
@@ -463,7 +538,7 @@ class TestStepOperator:
     def test_meaningless_machine_code_rejects(self):
         spec = CORPUS["bb1"]
         params = TruncationParams([spec], steps=1, cells=1, reject_code=1)
-        layout = params.layout
+        layout = slot_layout(params)
         bogus = spec.code - 1  # fits the slot width but is not in the set
         term = Multivector.blade(params.dimension, encode(bogus, "0", layout))
         out = apply_step_operator(term, 0, params)
@@ -476,7 +551,7 @@ class TestStepOperator:
     def test_out_of_set_state_rejects(self):
         spec = CORPUS["bb2"]
         params = TruncationParams([spec], steps=1, cells=1, state_codes=[0, 1])
-        layout = params.layout
+        layout = slot_layout(params)
         term = Multivector.blade(
             params.dimension,
             encode(spec.code, "0", layout) | encode(2, "2", layout),
@@ -497,7 +572,7 @@ class TestProjections:
     def test_consistency_keeps_only_chained_terms(self):
         spec = CORPUS["bb1"]
         params = TruncationParams([spec], steps=2, cells=1)
-        layout = params.layout
+        layout = slot_layout(params)
         base = encode(spec.code, "0", layout) | encode(0, "1", layout) | encode(
             spec.start, "2", layout
         )
@@ -619,7 +694,7 @@ class TestChainBuild:
 
     def test_cap_checked_before_starts(self):
         params = TruncationParams(list(CORPUS.values()), 2, 12)
-        count = len(CORPUS) * (12 << 12) * len(params.state_codes)
+        count = len(CORPUS) * (12 << 12) * len(params.state_codes) * 2 * 2  # chains x 2K
         assert count > MAX_TERMS
         tracemalloc.start()
         try:
@@ -630,13 +705,28 @@ class TestChainBuild:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_cap_counts_two_blocks_per_step(self):
+        loop3 = CORPUS["loop3"]
+        start = [(loop3.code, 0, loop3.start)]
+        for steps in (MAX_TERMS // 2 + 1, 10**30):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceCapError, match="chained superposition needs"):
+                    build_chained_superposition(TruncationParams([loop3], steps, 4), start)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 << 10
+        assert len(build_chained_superposition(TruncationParams([loop3], 300, 4), start)) == 1
+
     @pytest.mark.parametrize("cells", [1, 2, 3, 5])
     def test_default_config_set_is_every_code(self, cells):
         every = [Config(t, h, cells).code for h in range(cells) for t in range(1 << cells)]
         default = TruncationParams(list(CORPUS.values()), 3, cells)
         explicit = TruncationParams(list(CORPUS.values()), 3, cells, config_codes=every)
         assert list(default.config_codes) == every
-        assert default.slots == explicit.slots
+        assert slot_layout(default).subspaces == slot_layout(explicit).subspaces
+        assert default.dimension == explicit.dimension
         assert_same_terms(
             build_chained_superposition(default), build_chained_superposition(explicit)
         )
@@ -705,7 +795,7 @@ class TestChainBuild:
         spec = CORPUS["bb1"]
         params = TruncationParams([spec], steps, 2)
         start = [spec.code, 0, 0]
-        start[slot] = 1 << params.slots[slot].width
+        start[slot] = 1 << slot_layout(params).subspaces[slot].width
         starts = [tuple(start)]
         for build in (build_chained_superposition, stepwise_chains):
             with pytest.raises(EncodingRangeError):
@@ -718,7 +808,8 @@ class TestChainBuild:
         minus = next(m for m, c in chains.terms.items() if c == -1)
         plus = next(m for m, c in chains.terms.items() if c == 1)
         minus_start, plus_start = (
-            tuple(sub.decode(m) for sub in params.slots[:3]) for m in (minus, plus)
+            tuple(sub.decode(m) for sub in slot_layout(params).subspaces[:3])
+            for m in (minus, plus)
         )
         starts = [minus_start, plus_start, minus_start, plus_start, plus_start]
         built = build_chained_superposition(params, starts)
@@ -735,7 +826,7 @@ class TestChainBuild:
         starts = [(unknown, x, 1) for x in (0, 5)] + [(CORPUS["bb2"].code, 0, 1)]
         built = build_chained_superposition(params, starts)
         assert_same_terms(built, stepwise_chains(params, starts))
-        survivors = {m & params.slots[0].mask for m in built.masks()}
+        survivors = {m & slot_layout(params)["0"].mask for m in built.masks()}
         assert (unknown in survivors) == (steps == 1 or 0 in state_codes)
 
     @pytest.mark.parametrize(
@@ -781,7 +872,7 @@ class TestChainBuild:
         # The code is range-checked only when one of its chains survives: its
         # chains step to reject_code 0, which the state set [1, 2] leaves out.
         bb2 = CORPUS["bb2"]
-        wide = 1 << TruncationParams([bb2], 1, 2).slots[0].width
+        wide = 1 << slot_layout(TruncationParams([bb2], 1, 2))["0"].width
         kept = (bb2.code, 0, bb2.start)
         dropped = TruncationParams([bb2], 2, 2, state_codes=[1, 2])
         assert_same_terms(
@@ -847,7 +938,7 @@ class TestProjectionReferences:
         assert 0 < len(kept) < len(chain)
         # A term whose slot 0 names no enumerated machine never counts as halted.
         unknown = next(c for c in range(1 << 8) if c not in params.machine_by_code)
-        slot0 = params.slots[0].mask
+        slot0 = slot_layout(params)["0"].mask
         stray = Multivector(params.dimension, {m & ~slot0 | unknown: 1 for m in kept.masks()})
         assert halt_project(stray, params).is_zero() and decode_halt(stray, params).is_zero()
 
@@ -866,7 +957,7 @@ class TestProjectionReferences:
     @pytest.mark.parametrize("cells", [1, 4])
     def test_links_match_slot_masks(self, steps, cells):
         params = TruncationParams(list(CORPUS.values()), steps, cells)
-        assert _links(params) == or_links(params)
+        assert (params.h, _links(params)) == or_links(params)
 
 
 class TestBoundedProbe:
