@@ -286,9 +286,11 @@ def build_nand_multiplier(
     """Shift-and-add n x n -> 2n bit multiplier built entirely from NAND gates.
 
     Partial-product rows (ANDs of operand bits) are accumulated with
-    ripple-carry adders composed from NAND half/full adders; every
-    intermediate lands in a fresh ancilla place.  By default operand A sits
-    at places 0..n-1 and operand B at n..2n-1.
+    ripple-carry adders composed from NAND half/full adders; each row is
+    built just before the adder that adds it, so a bitsliced run holds at
+    most two rows at once.  Every intermediate lands in a fresh ancilla
+    place.  By default operand A sits at places 0..n-1 and operand B at
+    n..2n-1.
 
     The declared product places are least significant first.  For n = 1 the
     top product place is never written and reads as 0.
@@ -303,16 +305,16 @@ def build_nand_multiplier(
         first_free = max(a_places + b_places) + 1
 
     gb = GateBuilder(first_free)
-    rows = [[gb.conj(a, b) for a in a_places] for b in b_places]
+    row = lambda b: [gb.conj(a, b) for a in a_places]
 
     prod: list[int] = []
-    acc = rows[0]
-    for row in rows[1:]:
+    acc = row(b_places[0])
+    for b in b_places[1:]:
         prod.append(acc[0])
         high = acc[1:]
         carry: int | None = None
         summed: list[int] = []
-        for k, x in enumerate(row):
+        for k, x in enumerate(row(b)):
             y = high[k] if k < len(high) else None
             if y is None and carry is None:
                 summed.append(x)

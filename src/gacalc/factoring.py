@@ -1,22 +1,23 @@
 """Divisor extraction by one multiplication pass over a double superposition.
 
-The working layout holds three n-bit subspaces: "0" carries one operand x,
-"1" and "2" both carry the other operand y (the copy in "2" survives the
-pipeline).  One application of the lifted multiplier rewrites every term to
-the wide product xy across subspaces "0"+"1" with y still in "2"; projecting
-onto product = Z and reading subspace "2" then yields every divisor of Z.
+Coding is LSB-first and the three n-bit fields are contiguous, so each field
+is a fixed shift: the pair (x, y) is the blade ``x | y << n | y << 2n``,
+with x in field "0" and y in fields "1" and "2" (the copy in "2" survives
+the pipeline).  One application of the lifted multiplier rewrites every
+term to ``x*y | y << 2n``: the wide product across "0"+"1" is the integer
+itself.  Projecting onto ``mask & (2^2n - 1) == Z`` and reading
+``mask >> 2n`` then yields every divisor of Z.
 
 ``multiply_all`` is the multiplier on an arbitrary state: one blade map
 lifted in the layout's own algebra, so it is linear on signed states too.
-Its product comes from one of two routes, tested equal: the faithful route
-runs the NAND multiplier netlist on each blade and reads its product places,
-the fast route multiplies the decoded operands as host integers.
+It runs the NAND multiplier netlist on each blade and reads its product
+places.
 
 ``factor_pipeline`` runs the full superposition.  Its faithful route builds
 the 4^n-term state, held to ``core.MAX_TERMS`` terms (n <= 10), and
-multiplies it blade by blade as above.  Its fast
-route runs the same NAND netlist bitsliced: lane t of a plane is the term
-with x = t mod 2^n and y = t >> n, every gate acts on all 4^n lanes at once
+multiplies it with ``multiply_all``.  Its fast route runs the same NAND
+netlist bitsliced: lane t of a plane is the term with x = t mod 2^n and
+y = t >> n, every gate acts on all 4^n lanes at once
 (:func:`gacalc.circuit.run_netlist_planes`), and the projection onto
 product = Z is an AND of the product planes, so the 4^n-term state is never
 built.  Only the surviving lanes become terms.  Its 4^n-bit planes are
@@ -36,28 +37,28 @@ from .circuit import (
     run_netlist_planes,
 )
 from .core import Multivector, ResourceCapError, check_terms
-from .encoding import SubspaceLayout, encode_wide
+from .encoding import EncodingRangeError
 
-FAST_MAX_N = 12  # 4^12-bit planes: 385 MiB measured at n = 12
+FAST_MAX_N = 12  # 4^12-bit planes, 49 live at most: 157 MiB max RSS at n = 12
 
 ROUTES = ("faithful", "fast")
 
 
 class FactoringLayout:
-    """Three n-bit subspaces; the netlist route's ancilla places lie above them."""
+    """Three n-bit fields, ``x | y << n | y << 2n``; ``dimension = 3n``.
+
+    Field "0" (bits [0, n)) holds x, fields "1" and "2" (bits [n, 2n) and
+    [2n, 3n)) hold y.  The netlist's ancilla places lie above them.
+    """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("operand width must be at least 1")
         self.n = n
-        self.layout = SubspaceLayout([("0", n), ("1", n), ("2", n)])
-
-    @property
-    def dimension(self) -> int:
-        return self.layout.total_dim
+        self.dimension = 3 * n
 
     def multiplier_netlist(self) -> Netlist:
-        """NAND multiplier reading operands from subspaces "0" and "2"."""
+        """NAND multiplier reading operands from fields "0" and "2"."""
         return _multiplier_for(self.n)
 
 
@@ -73,11 +74,12 @@ def build_factoring_superposition(
     xs: Iterable[int] | None = None,
     ys: Iterable[int] | None = None,
 ) -> Multivector:
-    """Sum of ``coded0(x) coded1(y) coded2(y)`` over all operand pairs.
+    """Sum of ``x | y << n | y << 2n`` over all operand pairs.
 
     Defaults to the full ranges x, y in [0, 2^n), i.e. 4^n terms with unit
     coefficients; restricted ranges give the corresponding sub-superposition.
-    Its |xs|·|ys| terms are checked against ``core.MAX_TERMS`` first.
+    Its |xs|·|ys| terms are checked against ``core.MAX_TERMS`` first, then
+    each explicit side's range on its smallest and largest value.
     """
     n = fl.n
     xs = None if xs is None else list(xs)
@@ -90,56 +92,45 @@ def build_factoring_superposition(
     check_terms(total, "factoring superposition")
     if not total:  # an empty side: no pairs, and no loop over the full other side
         return Multivector.zero(fl.dimension)
+    for side, name in ((xs, "0"), (ys, "1")):
+        for v in () if side is None else (min(side), max(side)):
+            if v < 0 or v >> n:
+                raise EncodingRangeError(f"value {v} does not fit {n}-bit field {name!r}")
     xs = range(1 << n) if xs is None else xs
     ys = range(1 << n) if ys is None else ys
-    x_sub, y1_sub, y2_sub = (fl.layout[name] for name in "012")
-    terms = {}
-    for y in ys:
-        y_part = y1_sub.encode(y) | y2_sub.encode(y)
-        for x in xs:
-            terms[x_sub.encode(x) | y_part] = 1
+    spread = 1 << n | 1 << 2 * n
+    terms = dict.fromkeys((x | y * spread for y in ys for x in xs), 1)
     return Multivector._wrap(fl.dimension, terms)
 
 
-def _multiply_op(fl: FactoringLayout, route: str):
-    """The per-blade multiplier: x * y into subspaces "0"+"1", "2" kept, sign +1."""
-    layout = fl.layout
-    x_sub, y_sub = layout["0"], layout["2"]
-    keep = y_sub.mask
-    if route == "fast":
-        product = lambda mask: x_sub.decode(mask) * y_sub.decode(mask)
-    elif route == "faithful":
-        # Only the product's bits are read: the gate writes' sign has no bit content.
-        netlist = fl.multiplier_netlist()
-        product = lambda mask: read_outputs(netlist, run_netlist(netlist, MemoryBlade(mask)))[0]
-    else:
-        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+def multiply_all(fl: FactoringLayout, state: Multivector) -> Multivector:
+    """One lifted, linear pass of the NAND multiplier, sign +1 on every blade.
+
+    Blade ``x | y << n | y << 2n`` becomes ``x*y | y << 2n``.  The product is
+    read off the netlist run on that blade; only its bits are read, since
+    the gate writes' sign has no bit content.
+    """
+    netlist, keep = fl.multiplier_netlist(), (1 << fl.n) - 1 << 2 * fl.n
 
     def op(mask: int) -> tuple[int, int]:
-        return encode_wide(product(mask), "0", "1", layout) | (mask & keep), 1
+        product = read_outputs(netlist, run_netlist(netlist, MemoryBlade(mask)))[0]
+        return product | mask & keep, 1
 
-    return op
-
-
-def multiply_all(fl: FactoringLayout, state: Multivector, route: str = "fast") -> Multivector:
-    """One lifted, linear multiplication pass: every term becomes wide-product form."""
-    return state.map_blades(_multiply_op(fl, route))
+    return state.map_blades(op)
 
 
 def project_product(fl: FactoringLayout, state: Multivector, z: int) -> Multivector:
-    """Keep exactly the terms whose subspaces "0"+"1" decode to the product z."""
+    """Keep exactly the terms whose bits [0, 2n) hold the product z."""
     if not 1 <= z < (1 << fl.n):
         raise ValueError(f"target {z} outside [1, 2^{fl.n})")
-    layout = fl.layout
-    select = layout["0"].mask | layout["1"].mask
-    want = encode_wide(z, "0", "1", layout)
-    return state.project(lambda mask: mask & select == want)
+    low = ~(-1 << 2 * fl.n)
+    return state.project(lambda mask: mask & low == z)
 
 
 def read_divisors(fl: FactoringLayout, state: Multivector) -> set[int]:
-    """Decode subspace "2" of every term, deduplicated."""
-    y_sub = fl.layout["2"]
-    return {y_sub.decode(mask) for mask in state.masks()}
+    """Read y, ``mask >> 2n & (2^n - 1)``, off every term, deduplicated."""
+    shift, y = 2 * fl.n, ~(-1 << fl.n)
+    return {mask >> shift & y for mask in state.masks()}
 
 
 def _operand_planes(netlist: Netlist, lanes: int) -> dict[int, int]:
@@ -194,19 +185,17 @@ def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
     if route == "fast":
         if n > FAST_MAX_N:
             raise ResourceCapError(
-                f"width {n} exceeds the configured cap {FAST_MAX_N} (4^n terms)"
+                f"width {n} exceeds the configured cap {FAST_MAX_N} (4^n-bit planes)"
             )
         terms_before = 4**n
-        product, y_sub = encode_wide(z, "0", "1", fl.layout), fl.layout["2"]
         # For z >= 1 each divisor y has one x, so no two lanes share a term.
         projected = Multivector._wrap(
-            fl.dimension,
-            {product | y_sub.encode(y): 1 for y in _plane_divisors(fl, z)},
+            fl.dimension, {z | y << 2 * n: 1 for y in _plane_divisors(fl, z)}
         )
     else:
         state = build_factoring_superposition(fl)
         terms_before = len(state)
-        multiplied = multiply_all(fl, state, route=route)
+        multiplied = multiply_all(fl, state)
         projected = project_product(fl, multiplied, z)
     return {
         "z": z,

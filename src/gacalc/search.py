@@ -1,10 +1,13 @@
 """Database search by one oracle application and one filtered readout.
 
-The data subspace is the first n dimensions; one extra dimension above it
-plays the oracle flag.  Each database element x contributes the two-term
-pattern ``coded(x) * (1 - e_flag)``, which the oracle operator scales by
-(-1)^f(x), so the half-difference filter keeps exactly the marked elements
-and the answer is read straight off the surviving data blades.
+The data field is the first n dimensions and coding is LSB-first, so a
+value x is coded as the mask x itself.  One extra dimension above it plays
+the oracle flag, ``flag = 1 << n``, and a blade's data value is
+``mask & ~flag``.  Each database element x contributes the two-term pattern
+``x * (1 - e_flag)``, the blades ``x`` and ``x | flag``, which the oracle
+operator scales by (-1)^f(x), so the half-difference filter keeps exactly
+the marked elements and the answer is read straight off the surviving data
+blades.
 
 Toggling the flag dimension is sign-free because it is the highest index in
 the layout: appending or removing the final factor of an ascending blade
@@ -30,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Collection, Iterable
 
 from .core import Coefficient, Multivector, check_terms
-from .encoding import SubspaceLayout
+from .encoding import EncodingRangeError
 
 
 class MembershipOracle:
@@ -57,18 +60,14 @@ class MembershipOracle:
 
 
 class SearchLayout:
-    """n data dimensions plus the oracle flag dimension at index n."""
+    """n data dimensions, x coded as the mask x, plus the oracle flag at index n."""
 
     def __init__(self, n: int):
         if n <= 0:
             raise ValueError("data width must be positive")
         self.n = n
-        self.layout = SubspaceLayout([("data", n)], tail=1)
         self.oracle_dim = n
-
-    @property
-    def dimension(self) -> int:
-        return self.layout.total_dim
+        self.dimension = n + 1
 
 
 def _database_values(elements: Iterable[int], sl: SearchLayout) -> set[int]:
@@ -76,49 +75,47 @@ def _database_values(elements: Iterable[int], sl: SearchLayout) -> set[int]:
 
     The two terms per value are checked against ``core.MAX_TERMS`` first.
     The range is checked once, on the smallest and largest value; every value
-    in between then fits, and is coded as ``x << offset`` directly.
+    in between then fits, and is coded as the mask x directly.
     """
     values = set(elements)
     check_terms(2 * len(values), "search state")
-    if values:
-        data = sl.layout["data"]
-        data.encode(min(values))
-        data.encode(max(values))
+    for x in (min(values), max(values)) if values else ():
+        if x < 0 or x >> sl.n:
+            raise EncodingRangeError(f"value {x} does not fit {sl.n}-bit field 'data'")
     return values
 
 
 def _pair_state(values: Iterable[int], sl: SearchLayout) -> Multivector:
-    """``coded(x) * (1 - e_flag)`` summed over already checked values."""
-    offset, flag = sl.layout["data"].offset, 1 << sl.oracle_dim
+    """``x * (1 - e_flag)`` summed over already checked values."""
+    flag = 1 << sl.oracle_dim
     terms: dict[int, int] = {}
     for x in values:
-        mask = x << offset
-        terms[mask] = 1
-        terms[mask | flag] = -1
+        terms[x] = 1
+        terms[x | flag] = -1
     return Multivector._raw(sl.dimension, terms)
 
 
 def build_initial_state(elements: Iterable[int], sl: SearchLayout) -> Multivector:
-    """Superpose ``coded(x) * (1 - e_flag)`` over every database element x."""
+    """Superpose ``x * (1 - e_flag)`` over every database element x."""
     return _pair_state(_database_values(elements, sl), sl)
 
 
 def apply_oracle(oracle: MembershipOracle, state: Multivector, sl: SearchLayout) -> Multivector:
     """One oracle-operator application: toggle the flag on every marked term.
 
-    Per term, the data value x is decoded and the flag dimension's membership
-    is flipped iff f(x) = 1; coefficients are untouched.  Pointwise f calls
-    are memoized for the duration of this application.
+    Per term, the data value ``x = mask & ~flag`` is read and the flag
+    dimension's membership is flipped iff f(x) = 1; coefficients are
+    untouched.  Pointwise f calls are memoized for the duration of this
+    application.
     """
     if state.dimension != sl.dimension:
         raise ValueError("state does not live in this search layout")
     oracle.op_count += 1
     memo: dict[int, int] = {}
     flag = 1 << sl.oracle_dim
-    data = sl.layout["data"]
 
     def toggle(mask: int) -> tuple[int, int]:
-        x = data.decode(mask)
+        x = mask & ~flag
         fx = memo.get(x)
         if fx is None:
             fx = memo[x] = oracle.evaluate(x)
@@ -133,7 +130,8 @@ def half_difference_filter(oracle: MembershipOracle, state: Multivector, sl: Sea
     Computed pairwise, without the oracle's image: blades ``lo`` and
     ``lo | flag`` share the data value x.  If f(x) = 0 both terms cancel; if
     f(x) = 1 the pair becomes ``lo -> d/2`` and ``lo | flag -> -d/2`` with
-    ``d = s[lo] - s[lo | flag]`` (a missing partner counts as 0).  f is
+    ``d = s[lo] - s[lo | flag]`` (a missing partner counts as 0).  The
+    flag-clear blade ``lo`` is the data value itself.  f is
     evaluated once per pair, so once per distinct data value.  On database
     states it keeps exactly the marked elements' term patterns.
     """
@@ -141,17 +139,17 @@ def half_difference_filter(oracle: MembershipOracle, state: Multivector, sl: Sea
         raise ValueError("state does not live in this search layout")
     oracle.op_count += 1
     flag = 1 << sl.oracle_dim
-    decode, evaluate = sl.layout["data"].decode, oracle.evaluate
+    evaluate = oracle.evaluate
     terms = state.terms
     get = terms.get
     kept: dict[int, Coefficient] = {}
     for m, c in terms.items():
         if m & flag:
             lo = m ^ flag
-            if lo in terms or not evaluate(decode(lo)):
+            if lo in terms or not evaluate(lo):
                 continue  # a full pair is taken at its flag-clear blade
             d = -c
-        elif evaluate(decode(m)):
+        elif evaluate(m):
             lo = m
             d = c - get(m | flag, 0)
         else:
@@ -177,9 +175,9 @@ def filter_marked(oracle: MembershipOracle, elements: Iterable[int], sl: SearchL
 
 
 def extract_matches(state: Multivector, sl: SearchLayout) -> set[int]:
-    """Read the data subspace of every term, deduplicated."""
-    decode = sl.layout["data"].decode
-    return {decode(mask) for mask in state.masks()}
+    """Read the data field, ``mask & ~(-1 << n)``, of every term, deduplicated."""
+    data = ~(-1 << sl.n)
+    return {mask & data for mask in state.masks()}
 
 
 def run_search(elements: Iterable[int], f: Callable[[int], int], n: int) -> tuple[set[int], MembershipOracle]:

@@ -316,8 +316,8 @@ def _check_factoring() -> list[PropertyResult]:
         image = (mask & 7) * (mask >> 6) | mask >> 6 << 6
         want[image] = want.get(image, 0) + c
     state, want = (core.Multivector(fl.dimension, t) for t in (terms, want))
-    ok = all(factoring.multiply_all(fl, state, r) == want for r in factoring.ROUTES)
-    out.append(PropertyResult("factoring", "multiply-routes-agree-on-signed-states", ok))
+    ok = factoring.multiply_all(fl, state) == want
+    out.append(PropertyResult("factoring", "multiply-matches-host-on-signed-states", ok))
     return out
 
 

@@ -72,3 +72,18 @@ def int_loop_run(netlist, memory):
             count += 1
     sign = memory.sign * reorder_sign(mask ^ start, start)
     return MemoryBlade(mask, -sign if below & 1 else sign)
+
+
+def host_multiply(fl, state: Multivector) -> Multivector:
+    """Oracle for ``factoring.multiply_all``: x * y on plain ints, y kept above.
+
+    Fields "0", "1", "2" sit at bits [0, n), [n, 2n), [2n, 3n), so the wide
+    product across "0"+"1" is the integer itself.
+    """
+    n = fl.n
+    acc = {}
+    for mask, c in state.terms.items():
+        x, y = mask & (1 << n) - 1, mask >> 2 * n
+        out = x * y | y << 2 * n
+        acc[out] = acc.get(out, 0) + c
+    return Multivector(fl.dimension, acc)

@@ -38,7 +38,7 @@ from gacalc.halting import (
 )
 from gacalc.search import MembershipOracle, SearchLayout, apply_oracle, build_initial_state, run_search
 
-from conftest import boolean_eval, bubble_sign
+from conftest import boolean_eval, bubble_sign, host_multiply
 
 REPO_ROOT = Path(__file__).parent.parent
 
@@ -216,13 +216,11 @@ def test_criterion_4_multiplier():
     got, expected = bitslice_multiplier_outputs(8)
     assert got == expected
 
-    # faithful route == fast route, exhaustive for n <= 4
+    # the per-blade NAND multiply pass == host-integer products, exhaustive for n <= 4
     for n in (1, 2, 3, 4):
         fl = FactoringLayout(n)
         state = build_factoring_superposition(fl)
-        assert multiply_all(fl, state, route="faithful") == multiply_all(
-            fl, state, route="fast"
-        )
+        assert multiply_all(fl, state) == host_multiply(fl, state)
 
     # spot check of the blade route at full width
     netlist = build_nand_multiplier(8)
@@ -239,20 +237,20 @@ def trial_divisors(z: int) -> set[int]:
 def test_criterion_5_factoring():
     started = time.perf_counter()
 
-    # fast route, n = 8: every target below 256
+    # host-integer products, n = 8: projection and readout for every target below 256
     fl = FactoringLayout(8)
-    multiplied = multiply_all(fl, build_factoring_superposition(fl), route="fast")
+    multiplied = host_multiply(fl, build_factoring_superposition(fl))
     for z in range(1, 256):
         got = read_divisors(fl, project_product(fl, multiplied, z))
-        assert got == trial_divisors(z), f"fast z={z}"
+        assert got == trial_divisors(z), f"host z={z}"
 
     # the pipeline's bitsliced fast route, n = 8: every target below 256
     for z in range(1, 256):
         assert factor_pipeline(z, 8)["divisors"] == sorted(trial_divisors(z)), f"planes z={z}"
 
-    # faithful route, n = 5: every target below 32
+    # the per-blade NAND multiply pass, n = 5: every target below 32
     fl = FactoringLayout(5)
-    multiplied = multiply_all(fl, build_factoring_superposition(fl), route="faithful")
+    multiplied = multiply_all(fl, build_factoring_superposition(fl))
     for z in range(1, 32):
         got = read_divisors(fl, project_product(fl, multiplied, z))
         assert got == trial_divisors(z), f"faithful z={z}"

@@ -486,6 +486,25 @@ class TestMultiplier:
         targets = [g.r for g in nl.gates]
         assert len(targets) == len(set(targets))
 
+    @pytest.mark.parametrize("n,gates,peak", [(5, 210, 21), (9, 774, 37), (12, 1428, 49)])
+    def test_rows_built_beside_their_adders_bound_live_planes(self, n, gates, peak):
+        # Counted under run_netlist_planes' freeing rule: every input is live
+        # from the start, a gate's target from its gate on, and a place that
+        # is not an output is freed after its last read.
+        nl = _multiplier_for(n)
+        lo, program = nl._lo, nl._program
+        outputs = {place - lo for place in nl.outputs}
+        last_read = {}
+        for idx, (p, q, _) in enumerate(program):
+            last_read[p] = last_read[q] = idx
+        live = {place - lo for place in nl.inputs}
+        most = len(live)
+        for idx, (p, q, r) in enumerate(program):
+            live.add(r)
+            most = max(most, len(live))
+            live -= {w for w in (p, q) if last_read[w] == idx and w not in outputs}
+        assert (len(program), most) == (gates, peak)
+
 
 class TestLinearExtend:
     def test_identity(self):

@@ -26,7 +26,7 @@ from gacalc.core import (
     to_records,
 )
 from gacalc.circuit import linear_extend
-from gacalc.factoring import factor_pipeline
+from gacalc.factoring import factor_pipeline, multiply_all
 from gacalc.halting import TruncationParams, probe_report
 from gacalc.search import SearchLayout, build_initial_state, run_search
 
@@ -673,6 +673,19 @@ def test_one_compiled_netlist_program():
     assert not _functions_where(calls_validate)
 
 
+def test_pipelines_code_fields_in_closed_form():
+    # Each pipeline's fields are fixed shifts of its widths: none builds a
+    # SubspaceLayout or calls the coding functions, only the error type is shared.
+    for stem in ("factoring", "search", "halting"):
+        names = set()
+        for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("encoding"):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert not any(alias.name.endswith("encoding") for alias in node.names), stem
+        assert names == {"EncodingRangeError"}, stem
+
+
 def test_no_cap_options_on_the_cli():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -691,6 +704,7 @@ def test_no_new_pipeline_options():
     # fails here, so the change that adds it has to justify it.
     params = lambda f: list(inspect.signature(f).parameters)
     assert params(factor_pipeline) == ["z", "n", "route"]
+    assert params(multiply_all) == ["fl", "state"]
     assert params(TruncationParams) == [
         "machines", "steps", "cells", "config_codes", "state_codes", "reject_code"
     ]

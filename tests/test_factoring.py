@@ -1,4 +1,5 @@
-"""Factoring pipeline against trial division, plus faithful/fast route equality."""
+"""Factoring pipeline against trial division, the host-integer product and
+the documented field geometry, plus faithful/fast route equality."""
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from functools import lru_cache, partial
@@ -9,7 +10,14 @@ from hypothesis import strategies as st
 
 from gacalc.circuit import MemoryBlade, relabel_and_discard, run_netlist
 from gacalc.core import MAX_TERMS, Multivector, ResourceCapError, to_records
-from gacalc.encoding import decode, decode_wide, encode, encode_wide
+from gacalc.encoding import (
+    EncodingRangeError,
+    SubspaceLayout,
+    decode,
+    decode_wide,
+    encode,
+    encode_wide,
+)
 from gacalc.factoring import (
     ROUTES,
     FactoringLayout,
@@ -21,6 +29,17 @@ from gacalc.factoring import (
     read_divisors,
 )
 
+from conftest import host_multiply
+
+# The per-term multiplier a route-parametrized test runs: the NAND netlist on
+# every blade, or the host-integer reference product.
+MULTIPLY = {"faithful": multiply_all, "fast": host_multiply}
+
+
+def field_layout(fl: FactoringLayout) -> SubspaceLayout:
+    """Reference geometry: the documented n-bit fields "0", "1", "2" in order."""
+    return SubspaceLayout([("0", fl.n), ("1", fl.n), ("2", fl.n)])
+
 
 def divisors(z: int) -> set[int]:
     """Oracle: trial division."""
@@ -28,23 +47,9 @@ def divisors(z: int) -> set[int]:
 
 
 def reference_project_product(fl: FactoringLayout, state: Multivector, z: int) -> Multivector:
-    """Reference projection: decode each term's product from subspaces "0" + "1"."""
-    return state.project(lambda mask: decode_wide(mask, "0", "1", fl.layout) == z)
-
-
-def host_multiply(fl: FactoringLayout, state: Multivector) -> Multivector:
-    """Reference multiplier on plain ints: x * y into bits [0, 2n), y kept above.
-
-    Subspaces "0", "1", "2" sit at bits [0, n), [n, 2n), [2n, 3n), so the wide
-    product across "0"+"1" is the integer itself.
-    """
-    n = fl.n
-    acc = {}
-    for mask, c in state.terms.items():
-        x, y = mask & (1 << n) - 1, mask >> 2 * n
-        out = x * y | y << 2 * n
-        acc[out] = acc.get(out, 0) + c
-    return Multivector(fl.dimension, acc)
+    """Reference projection: decode each term's product from fields "0" + "1"."""
+    layout = field_layout(fl)
+    return state.project(lambda mask: decode_wide(mask, "0", "1", layout) == z)
 
 
 def relabel_route_multiply(fl: FactoringLayout, state: Multivector) -> Multivector:
@@ -64,7 +69,7 @@ def relabel_route_multiply(fl: FactoringLayout, state: Multivector) -> Multivect
         lambda mask: (run_netlist(netlist, MemoryBlade(mask)).mask, 1)
     )
     place_map = {src: k for k, src in enumerate(netlist.output_groups[0])}
-    for place in range(2 * fl.n, 3 * fl.n):  # subspace "2" stays put
+    for place in range(2 * fl.n, 3 * fl.n):  # field "2" stays put
         place_map[place] = place
     discard = set(range(dim)) - set(place_map)
     return relabel_and_discard(wide, place_map, discard, dimension=fl.dimension)
@@ -98,14 +103,14 @@ def signed_states(draw, n):
 def product_states(draw):
     """A target z and an arbitrary state whose masks may set any bit.
 
-    The state is four dimensions wider than the layout, so bits above subspace
-    "2" occur too; about half the terms carry z in subspaces "0" + "1".
+    The state is four dimensions wider than the layout, so bits above field
+    "2" occur too; about half the terms carry z in fields "0" + "1".
     """
     n = draw(st.integers(1, 5))
     fl = FactoringLayout(n)
     z = draw(st.integers(1, (1 << n) - 1))
     dim = fl.dimension + 4
-    product, low = encode_wide(z, "0", "1", fl.layout), (1 << 2 * n) - 1
+    product, low = encode_wide(z, "0", "1", field_layout(fl)), (1 << 2 * n) - 1
     terms = {}
     for mask, hit in draw(
         st.lists(st.tuples(st.integers(0, (1 << dim) - 1), st.booleans()), max_size=24)
@@ -114,6 +119,39 @@ def product_states(draw):
             st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=6)).filter(bool)
         )
     return fl, Multivector(dim, terms), z
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+def test_field_geometry_is_closed_form(n):
+    # Every field write and read equals the documented SubspaceLayout's.
+    fl = FactoringLayout(n)
+    layout = field_layout(fl)
+    assert fl.dimension == layout.total_dim == 3 * n
+    top = (1 << n) - 1
+    values = sorted({0, 1, top >> 1, top})
+    state = build_factoring_superposition(fl, xs=values, ys=values)
+    want = {
+        encode(x, "0", layout) | encode(y, "1", layout) | encode(y, "2", layout): 1
+        for y in values
+        for x in values
+    }
+    assert dict(state.terms) == want
+    assert read_divisors(fl, state) == {decode(m, "2", layout) for m in state.masks()}
+    multiplied = multiply_all(fl, state)
+    product = {}
+    for x in values:
+        for y in values:
+            mask = encode_wide(x * y, "0", "1", layout) | encode(y, "2", layout)
+            product[mask] = product.get(mask, 0) + 1
+    assert multiplied == Multivector(fl.dimension, product)
+    for z in {1, top}:
+        assert project_product(fl, multiplied, z) == reference_project_product(fl, multiplied, z)
+        if n <= 7:  # the planes hold 4^n bits each
+            got = factor_pipeline(z, n, "fast")["state"]
+            assert got.masks() == {
+                encode_wide(z, "0", "1", layout) | encode(y, "2", layout)
+                for y in divisors(z)
+            }
 
 
 class TestSuperposition:
@@ -127,39 +165,59 @@ class TestSuperposition:
         fl = FactoringLayout(2)
         state = build_factoring_superposition(fl)
         assert len(state) == 16
+        layout = field_layout(fl)
         for mask in state.masks():
-            x = decode(mask, "0", fl.layout)
-            y = decode(mask, "1", fl.layout)
+            x = decode(mask, "0", layout)
+            y = decode(mask, "1", layout)
             assert mask.bit_count() == x.bit_count() + 2 * y.bit_count()
 
     def test_operand_copies_agree(self):
         fl = FactoringLayout(3)
         state = build_factoring_superposition(fl)
         assert len(state) == 4**3
+        layout = field_layout(fl)
         for mask in state.masks():
-            assert decode(mask, "1", fl.layout) == decode(mask, "2", fl.layout)
+            assert decode(mask, "1", layout) == decode(mask, "2", layout)
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             build_factoring_superposition(FactoringLayout(11))
 
+    @pytest.mark.parametrize("side", ["xs", "ys"])
+    @pytest.mark.parametrize("bad", [1 << 10, -1])
+    def test_over_wide_side_refused_before_any_term(self, side, bad):
+        # The bad value comes last, after 1,023 fitting ones on a side whose
+        # other side is full: a per-pair check would first build up to
+        # 1,023 * 1,024 terms.
+        fl = FactoringLayout(10)
+        sides = {"xs": range(1 << 10), "ys": range(1 << 10), side: [*range(1023), bad]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(EncodingRangeError, match=f"^value {bad} does not fit"):
+                build_factoring_superposition(fl, **sides)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestMultiplyAll:
     def test_width_one_is_and(self):
         fl = FactoringLayout(1)
-        out = multiply_all(fl, build_factoring_superposition(fl), route="fast")
+        out = multiply_all(fl, build_factoring_superposition(fl))
+        assert out == host_multiply(fl, build_factoring_superposition(fl))
         # product bit = AND(x, y); the two zero-product x-values merge at y=0
         assert dict(out.terms) == {0b000: 2, 0b100: 1, 0b101: 1}
 
     def test_single_term_host_check(self):
         fl = FactoringLayout(3)
-        layout = fl.layout
+        layout = field_layout(fl)
         term = Multivector.blade(
             fl.dimension,
             encode(5, "0", layout) | encode(7, "1", layout) | encode(7, "2", layout),
         )
-        for route in ("fast", "faithful"):
-            out = multiply_all(fl, term, route=route)
+        for multiply in (multiply_all, host_multiply):
+            out = multiply(fl, term)
             assert len(out) == 1
             (mask,) = out.masks()
             assert decode(mask, "0", layout) | decode(mask, "1", layout) << 3 == 35
@@ -168,11 +226,9 @@ class TestMultiplyAll:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_routes_agree_exhaustively(self, n):
         fl = FactoringLayout(n)
-        layout = fl.layout
+        layout = field_layout(fl)
         full = build_factoring_superposition(fl)
-        assert multiply_all(fl, full, route="fast") == multiply_all(
-            fl, full, route="faithful"
-        )
+        assert multiply_all(fl, full) == host_multiply(fl, full)
         for x in range(1 << n):
             for y in range(1 << n):
                 term = Multivector.blade(
@@ -181,17 +237,15 @@ class TestMultiplyAll:
                     | encode(y, "1", layout)
                     | encode(y, "2", layout),
                 )
-                assert multiply_all(fl, term, route="fast") == multiply_all(
-                    fl, term, route="faithful"
-                )
+                assert multiply_all(fl, term) == host_multiply(fl, term)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_agrees_with_fraction_copy(self, route, as_fractions):
         fl = FactoringLayout(4)
         state = build_factoring_superposition(fl)
         assert all(type(c) is int for c in state.terms.values())
-        got = multiply_all(fl, state, route=route)
-        want = multiply_all(fl, as_fractions(state), route=route)
+        got = MULTIPLY[route](fl, state)
+        want = MULTIPLY[route](fl, as_fractions(state))
         assert got == want
         assert to_records(got) == to_records(want)
         assert all(type(c) is int for c in got.terms.values())
@@ -202,22 +256,20 @@ class TestMultiplyAll:
         fl = FactoringLayout(n)
         a, b = data.draw(signed_states(n)), data.draw(signed_states(n))
         for state in (a, b, a + b):
-            want = host_multiply(fl, state)
-            assert multiply_all(fl, state, "fast") == want == multiply_all(fl, state, "faithful")
-        for route in ROUTES:
-            mul = partial(multiply_all, fl, route=route)
-            assert mul(a + b) == mul(a) + mul(b)
-            assert mul(a.scale(k)) == mul(a).scale(k)
+            assert multiply_all(fl, state) == host_multiply(fl, state)
+        mul = partial(multiply_all, fl)
+        assert mul(a + b) == mul(a) + mul(b)
+        assert mul(a.scale(k)) == mul(a).scale(k)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_signed_and_cancelling_terms(self, route):
         fl = FactoringLayout(2)
-        layout = fl.layout
+        layout, multiply = field_layout(fl), MULTIPLY[route]
         # (x=1, y=0) and (x=2, y=0) both multiply to product 0, y = 0.
         pair = Multivector(fl.dimension, {encode(1, "0", layout): 1, encode(2, "0", layout): -1})
-        assert multiply_all(fl, pair, route=route).is_zero()
+        assert multiply(fl, pair).is_zero()
         term = Multivector.blade(fl.dimension, encode(3, "0", layout) | encode(3, "2", layout), -3)
-        out = multiply_all(fl, term, route=route)
+        out = multiply(fl, term)
         assert dict(out.terms) == {encode_wide(9, "0", "1", layout) | encode(3, "2", layout): -3}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -232,13 +284,13 @@ class TestMultiplyAll:
         ]
         for state in states:
             want = relabel_route_multiply(fl, state)
-            assert multiply_all(fl, state, route="fast") == want
-            assert multiply_all(fl, state, route="faithful") == want
+            assert host_multiply(fl, state) == want
+            assert multiply_all(fl, state) == want
 
     def test_merged_multiplicities_positive(self):
         # every x multiplied by y = 0 lands on the same term; coefficients add
         fl = FactoringLayout(2)
-        out = multiply_all(fl, build_factoring_superposition(fl), route="faithful")
+        out = multiply_all(fl, build_factoring_superposition(fl))
         assert out.coefficient(0) == 4  # (x, 0) for all four x
         assert all(c > 0 for c in out.terms.values())
 
@@ -255,7 +307,7 @@ class TestProjectAndRead:
         out = multiply_all(fl, build_factoring_superposition(fl))
         projected = project_product(fl, out, 6)
         assert read_divisors(fl, projected) == {1, 2, 3, 6}
-        values = {decode(m, "2", fl.layout) for m in projected.masks()}
+        values = {decode(m, "2", field_layout(fl)) for m in projected.masks()}
         assert values == {1, 2, 3, 6}
 
     def test_projection_idempotent(self):
@@ -271,6 +323,8 @@ class TestProjectAndRead:
         got = project_product(fl, state, z)
         assert dict(got.terms) == dict(reference_project_product(fl, state, z).terms)
         assert got.dimension == state.dimension
+        layout = field_layout(fl)
+        assert read_divisors(fl, state) == {decode(m, "2", layout) for m in state.masks()}
 
     def test_prime(self):
         assert factor_pipeline(5, 3)["divisors"] == [1, 5]
@@ -303,7 +357,7 @@ class TestPipeline:
     @pytest.mark.parametrize("n,route", [(6, "fast"), (4, "faithful")])
     def test_complete_and_sound(self, n, route):
         fl = FactoringLayout(n)
-        multiplied = multiply_all(fl, build_factoring_superposition(fl), route=route)
+        multiplied = MULTIPLY[route](fl, build_factoring_superposition(fl))
         for z in range(1, 1 << n):
             got = read_divisors(fl, project_product(fl, multiplied, z))
             assert got == divisors(z), f"z={z} route={route}"
@@ -320,7 +374,7 @@ class TestPipeline:
         full = multiply_all(fl, build_factoring_superposition(fl))
         xs, ys = [1, 2, 3], [2, 3]
         sub = multiply_all(fl, build_factoring_superposition(fl, xs=xs, ys=ys))
-        layout = fl.layout
+        layout = field_layout(fl)
         for mask, coeff in sub.terms.items():
             assert full.coefficient(mask) >= coeff > 0
         expect = {}
@@ -370,11 +424,11 @@ class TestPipeline:
 @lru_cache(maxsize=None)
 def multiplied_superposition(n: int, route: str) -> Multivector:
     fl = FactoringLayout(n)
-    return multiply_all(fl, build_factoring_superposition(fl), route=route)
+    return MULTIPLY[route](fl, build_factoring_superposition(fl))
 
 
 class TestPlanePipeline:
-    """The bitsliced fast pipeline against both per-term ``multiply_all`` routes."""
+    """The bitsliced fast pipeline against ``multiply_all`` and the host product."""
 
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("n", range(1, 7))
@@ -393,7 +447,7 @@ class TestPlanePipeline:
     def test_cap_checked_before_allocation(self):
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceCapError, match=r"width 13 exceeds the configured cap 12"):
+            with pytest.raises(ResourceCapError, match=r"^width 13 exceeds the configured cap 12 \(4\^n-bit planes\)$"):
                 factor_pipeline(1, 13)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gacalc.core import Multivector, to_records
-from gacalc.encoding import EncodingRangeError, encode
+from gacalc.encoding import EncodingRangeError, SubspaceLayout, decode, encode
 from gacalc.search import (
     MembershipOracle,
     SearchLayout,
@@ -20,11 +20,17 @@ from gacalc.search import (
 )
 
 
+def data_layout(sl):
+    """Reference geometry: the documented n-bit "data" field, the flag above it."""
+    return SubspaceLayout([("data", sl.n)], tail=1)
+
+
 def literal_state(elements, sl):
     """Oracle construction: enumerate the two terms of every element directly."""
     terms = {}
+    layout = data_layout(sl)
     for x in elements:
-        mask = encode(x, "data", sl.layout)
+        mask = encode(x, "data", layout)
         terms[mask] = Fraction(1)
         terms[mask | 1 << sl.oracle_dim] = Fraction(-1)
     return Multivector(sl.dimension, terms)
@@ -65,6 +71,29 @@ def flag_pair_states(draw):
             terms[lo | flag] = c if kind == "equal" else draw(coefficients)
     marked = draw(st.sets(st.integers(0, (1 << n) - 1)))
     return sl, Multivector(sl.dimension, terms), marked
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+def test_field_geometry_is_closed_form(n):
+    # Every field write and read equals the documented SubspaceLayout's.
+    sl = SearchLayout(n)
+    layout = data_layout(sl)
+    assert sl.dimension == layout.total_dim == n + 1
+    assert sl.oracle_dim == layout["data"].offset + layout["data"].width == n
+    top = (1 << n) - 1
+    values = {0, 1, top >> 1, top}
+    state = build_initial_state(values, sl)
+    assert state == literal_state(values, sl)
+    flag = 1 << sl.oracle_dim
+    toggled = {
+        m ^ flag if decode(m, "data", layout) == top else m: c for m, c in state.terms.items()
+    }
+    flagged = apply_oracle(MembershipOracle(lambda x: x == top), state, sl)
+    assert flagged == Multivector(sl.dimension, toggled)
+    assert extract_matches(state, sl) == {decode(m, "data", layout) for m in state.masks()}
+    assert extract_matches(state, sl) == values
+    marked = half_difference_filter(MembershipOracle(lambda x: x & 1), state, sl)
+    assert marked == literal_state({x for x in values if x & 1}, sl)
 
 
 class TestInitialState:
