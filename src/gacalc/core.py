@@ -348,10 +348,6 @@ class Multivector:
             self._dim, {m: c for m, c in self._terms.items() if pred(m)}
         )
 
-    def grade_part(self, k: int) -> "Multivector":
-        """Grade-k part: terms whose blade has exactly k factors."""
-        return self.project(lambda m: m.bit_count() == k)
-
     def masks(self) -> Iterable[int]:
         return self._terms.keys()
 

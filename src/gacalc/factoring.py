@@ -110,6 +110,8 @@ def multiply_all(fl: FactoringLayout, state: Multivector) -> Multivector:
     read off the netlist run on that blade; only its bits are read, since
     the gate writes' sign has no bit content.
     """
+    if state.dimension != fl.dimension:
+        raise ValueError("state does not live in this factoring layout")
     netlist, keep = fl.multiplier_netlist(), (1 << fl.n) - 1 << 2 * fl.n
 
     def op(mask: int) -> tuple[int, int]:

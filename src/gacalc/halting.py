@@ -216,7 +216,7 @@ class TruncationParams:
 
     The default configuration set, every ``tape | head << cells`` code, is
     ``range(cells << cells)``: it is never enumerated unless iterated, so a
-    one-chain probe runs in O(steps) memory at any tape width.
+    one-chain probe holds only its 2K blocks, which the chain cap bounds.
     """
 
     def __init__(
@@ -277,21 +277,22 @@ class TruncationParams:
         # and so never alias a packed key.
         self._successors: dict[int, dict[int, int]] = {m.code: {} for m in machines}
 
-    def step_codes(self, machine_code: int, x: int, s: int) -> tuple[int, int]:
-        """One step at the level of integer codes, with the REJECT conventions.
+    def step_codes(self, machine_code: int, code: int) -> int:
+        """One step on a packed block ``x | s << w_x``, with the REJECT conventions.
 
-        Steps on the machine's transition rows; results for inputs in the
+        Takes and returns the block format the layout and the successor memo
+        use, so no caller splits or packs it.  Results for inputs in the
         enumerated sets are kept in the machine's successor memo.
         """
+        w_x, cells = self.w_x, self.cells
+        x, s = code & ~(-1 << w_x), code >> w_x
         spec = self.machine_by_code.get(machine_code)
         if spec is None:
-            return x, self.reject_code
+            return x | self.reject_code << w_x
         if x not in self._config_set or s not in self._state_set:
-            return x, spec.reject
-        w_x, cells = self.w_x, self.cells
+            return x | spec.reject << w_x
         memo = self._successors[machine_code]
-        key = x | s << w_x
-        out = memo.get(key)
+        out = memo.get(code)
         if out is None:
             tape, head = x & ~(-1 << cells), x >> cells
             if s >= spec.num_states or head >= cells:
@@ -303,8 +304,13 @@ class TruncationParams:
                 # Head runoff: the write stands, the head stays on its cell.
                 head, s = (moved, tr.next_state) if 0 <= moved < cells else (head, spec.reject)
                 x = tape | head << cells
-            out = memo[key] = x | s << w_x
-        return out & ~(-1 << w_x), out >> w_x
+            out = memo[code] = x | s << w_x
+        return out
+
+
+def _words(bits: int) -> int:
+    """The 64-bit words a block of ``bits`` bits spans: the chain cap's unit."""
+    return -(-bits // 64)
 
 
 def _code_set(codes: Iterable[int], name: str) -> tuple[int, ...]:
@@ -342,9 +348,9 @@ def apply_step_operator(state: Multivector, i: int, params: TruncationParams) ->
         raise ValueError(f"step index {i} outside [0, {params.steps})")
     if state.dimension != params.dimension:
         raise ValueError(f"state dimension {state.dimension}, parameters need {params.dimension}")
-    w_x, h = params.w_x, params.h
+    h = params.h
     at = params.w_m + 2 * i * h
-    m_mask, x_mask, block = ~(-1 << params.w_m), ~(-1 << w_x), ~(-1 << h)
+    m_mask, block = ~(-1 << params.w_m), ~(-1 << h)
     out_region = block << at + h
     step_codes = params.step_codes
 
@@ -353,9 +359,7 @@ def apply_step_operator(state: Multivector, i: int, params: TruncationParams) ->
             raise TargetSlotOccupiedError(
                 f"output slots of step {i} are not empty in every term"
             )
-        code = mask >> at & block
-        x, s = step_codes(mask & m_mask, code & x_mask, code >> w_x)
-        return blade_mul((x | s << w_x) << at + h, mask)
+        return blade_mul(step_codes(mask & m_mask, mask >> at & block) << at + h, mask)
 
     return state.map_blades(step)
 
@@ -448,13 +452,13 @@ def build_chained_superposition(
     successor-memo lookup per step; a miss calls ``params.step_codes``,
     which fills it.  A start repeated n times gets coefficient +-n; a machine
     code too wide for its field raises only if one of its chains survives.
-    The cap counts chains x 2K blocks, so it bounds the step count as well
-    as the starts.
+    The cap counts chains x 2K blocks x the 64-bit words a block spans, so
+    it bounds the step count and the tape width as well as the starts.
     """
     w_m, w_x, w_s, h = params.w_m, params.w_x, params.w_s, params.h
     per_machine = params._config_count * len(params.state_codes)
     chains = len(params.machines) * per_machine if starts is None else len(starts)
-    check_terms(chains * 2 * params.steps, "chained superposition")
+    check_terms(chains * 2 * params.steps * _words(h), "chained superposition")
     if starts is None:
         # Every default code fits its field: TruncationParams sized w_x and w_s for them.
         ones = dict.fromkeys(
@@ -487,8 +491,7 @@ def build_chained_superposition(
         for code, count in counts.items():
             out = get(code)
             if out is None:
-                x, s = step_codes(m_code, code & x_mask, code >> w_x)
-                out = x | s << w_x
+                out = step_codes(m_code, code)
             # No range check needed: TruncationParams sized w_x for every
             # tape/head code and w_s for every machine state and reject code,
             # so a step's outputs fit its output block.
@@ -496,11 +499,9 @@ def build_chained_superposition(
             for offset in rest:
                 nxt = get(out)
                 if nxt is None:
-                    x, s = out & x_mask, out >> w_x
-                    if x not in configs or s not in states:
+                    if out & x_mask not in configs or out >> w_x not in states:
                         break  # the previous step's outputs left the enumerated sets
-                    x, s = step_codes(m_code, x, s)
-                    nxt = x | s << w_x
+                    nxt = step_codes(m_code, out)
                 ext |= nxt << offset
                 out = nxt
             else:
@@ -514,55 +515,43 @@ def build_chained_superposition(
     return Multivector._wrap(params.dimension, terms)
 
 
-def _probe_chain(
-    spec: TMSpec, config: Config, steps: int, params: TruncationParams | None = None
-) -> tuple[Multivector, Multivector]:
-    """The one chain of (machine, input, start state) and its halt projection."""
-    if params is None:
-        params = TruncationParams([spec], steps, config.cells)
-    if params.steps != steps:
-        raise ValueError("params were built for a different step count")
-    if spec.code not in params.machine_by_code:
-        raise ValueError("machine is not part of the enumerated machine set")
-    if config.code not in params._config_set:
-        raise ValueError("input config is outside the enumerated set")
-    chain = build_chained_superposition(
-        params, starts=[(spec.code, config.code, spec.start)]
-    )
-    return chain, halt_project(chain, params)
-
-
-def bounded_halt_probe(
-    spec: TMSpec,
-    config: Config,
-    steps: int,
-    params: TruncationParams | None = None,
-) -> bool:
+def bounded_halt_probe(spec: TMSpec, config: Config, steps: int) -> bool:
     """Does this machine on this input halt WITHIN ``steps`` steps?
 
-    Builds the chain selected by the instance projection (machine, input,
-    start state) and tests whether the halt projection leaves it nonzero.
+    The blade probe of ``probe_report``, so it is refused by the same count.
+    """
+    return probe_report(spec, config, steps, mode="ga")["halts_within_k"]
+
+
+def probe_report(spec: TMSpec, config: Config, steps: int, mode: str = "both") -> dict:
+    """Run the blade probe and/or the direct simulation; report agreement.
+
+    The blade probe builds the one chain the instance projection selects
+    (machine, input, start state) over this machine alone and the input's
+    tape width, and tests whether the halt projection leaves it nonzero.
     Equivalent to running instance and halt projections after the full
     chained (or free + consistency) construction; that equivalence is what
     the construction-equality tests pin down.
     """
-    return not _probe_chain(spec, config, steps, params)[1].is_zero()
-
-
-def probe_report(spec: TMSpec, config: Config, steps: int, mode: str = "both") -> dict:
-    """Run the blade probe and/or the direct simulation; report agreement."""
     if mode not in ("ga", "direct", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    check_terms(2 * steps, "probe chain")  # the chain build's count, so every mode refuses it
+    # The chain build's count for this one machine's w_x + w_s-bit blocks,
+    # taken before TruncationParams forms its ``cells << cells`` range, so
+    # every mode refuses a step count or a tape width the chain could not hold.
+    cells = config.cells
+    h = cells + (cells - 1).bit_length() + max(1, (spec.num_states - 1).bit_length())
+    check_terms(2 * steps * _words(h), "probe chain")
     out: dict = {
         "machine": spec.name or f"code-{spec.code}",
         "steps": steps,
-        "cells": config.cells,
+        "cells": cells,
         "input_code": config.code,
         "semantics": f"halts within {steps} steps (bounded probe)",
     }
     if mode in ("ga", "both"):
-        chain, kept = _probe_chain(spec, config, steps)
+        params = TruncationParams([spec], steps, cells)
+        chain = build_chained_superposition(params, [(spec.code, config.code, spec.start)])
+        kept = halt_project(chain, params)
         out["ga_halts_within_k"] = not kept.is_zero()
         out["chain_terms"] = len(chain)
         out["terms_after_halt_projection"] = len(kept)

@@ -343,10 +343,10 @@ def _check_halting() -> list[PropertyResult]:
             for s in params.state_codes:
                 if s < spec.num_states:
                     config, state = halting.tm_step(spec, halting.Config.from_code(x, 3), s)
-                    want = config.code, state
+                    want = config.code | state << params.w_x
                 else:
-                    want = x, spec.reject
-                ok = ok and params.step_codes(spec.code, x, s) == want
+                    want = x | spec.reject << params.w_x
+                ok = ok and params.step_codes(spec.code, x | s << params.w_x) == want
     out.append(PropertyResult("halting-probe", "step-codes-match-tm-step", ok))
 
     # B = 2, the smallest tape here with a chain sign of -1, which the check requires.

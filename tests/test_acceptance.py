@@ -269,13 +269,10 @@ def test_criterion_6_halting_probe():
     for spec in corpus:
         for cells in range(1, 9):
             tapes = [parse_tape("", cells)] + [Config(1 << i, 0, cells) for i in range(cells)]
-            params_by_k = {
-                k: TruncationParams([spec], k, cells) for k in range(1, 9)
-            }
             for config in tapes:
                 previous = False
                 for k in range(1, 9):
-                    ga = bounded_halt_probe(spec, config, k, params_by_k[k])
+                    ga = bounded_halt_probe(spec, config, k)
                     direct, _ = run_direct(spec, config, k)
                     if ga != direct:
                         disagreements.append((spec.name, cells, config.code, k))

@@ -563,6 +563,19 @@ class TestHaltProbeArgv:
         assert "ResourceCapError: probe chain needs 2^100 or more terms" in err
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("mode", ["both", "ga", "direct"])
+    def test_huge_tape_is_refused(self, mode):
+        # Each of loop3's 16 blocks at 10^9 cells is 10^9 + 32 bits, 15,625,001
+        # words, so the chain is refused before a 10^9-bit code is formed.
+        argv = [
+            "halt-probe", f"--machine={MACHINES / 'loop3.json'}", "--input=0110",
+            "--steps=8", f"--tape={10**9}", f"--mode={mode}",
+        ]
+        code, _, err, peak = traced_main(argv)
+        assert code == 1
+        assert "ResourceCapError: probe chain needs 250000016 terms" in err
+        assert peak < 1 << 20
+
 
 class TestCircuit:
     def test_single_gate(self, capsys, tmp_path):

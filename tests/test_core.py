@@ -27,7 +27,7 @@ from gacalc.core import (
 )
 from gacalc.circuit import linear_extend
 from gacalc.factoring import factor_pipeline, multiply_all
-from gacalc.halting import TruncationParams, probe_report
+from gacalc.halting import TruncationParams, bounded_halt_probe, probe_report
 from gacalc.search import SearchLayout, build_initial_state, run_search
 
 from conftest import bubble_sign
@@ -470,7 +470,7 @@ class TestProjection:
 
     def test_grade_selection(self):
         a = Multivector(4, {0: 1, 0b1: 1, 0b11: 1})  # 1 + e1 + e1e2
-        assert a.grade_part(2) == Multivector.blade(4, 0b11)
+        assert a.project(lambda m: m.bit_count() == 2) == Multivector.blade(4, 0b11)
 
     def test_idempotent_and_linear(self):
         rng = random.Random(13)
@@ -709,4 +709,6 @@ def test_no_new_pipeline_options():
         "machines", "steps", "cells", "config_codes", "state_codes", "reject_code"
     ]
     assert params(probe_report) == ["spec", "config", "steps", "mode"]
+    assert params(bounded_halt_probe) == ["spec", "config", "steps"]
+    assert params(TruncationParams.step_codes) == ["self", "machine_code", "code"]
     assert params(run_search) == ["elements", "f", "n"]

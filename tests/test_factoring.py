@@ -294,6 +294,11 @@ class TestMultiplyAll:
         assert out.coefficient(0) == 4  # (x, 0) for all four x
         assert all(c > 0 for c in out.terms.values())
 
+    def test_state_of_another_layout_refused(self):
+        # Bit 8 is a netlist place at n = 2; the layout mismatch is named first.
+        with pytest.raises(ValueError, match="^state does not live in this factoring layout$"):
+            multiply_all(FactoringLayout(2), Multivector(10, {0b100010000: 1}))
+
 
 class TestProjectAndRead:
     def test_unreachable_product_empty(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gacalc import halting
 from gacalc.core import MAX_TERMS, Multivector, ResourceCapError, blade_mul, to_records
 from gacalc.encoding import EncodingRangeError, SubspaceLayout, encode
 from gacalc.halting import (
@@ -69,20 +70,29 @@ def slot_layout(params: TruncationParams) -> SubspaceLayout:
     return SubspaceLayout(widths)
 
 
-def reference_step_codes(params: TruncationParams, machine_code: int, x: int, s: int):
-    """Reference step on codes: ``tm_step`` on a ``Config`` and a state int, no memo."""
+def pack(params: TruncationParams, x: int, s: int) -> int:
+    return x | s << params.w_x
+
+
+def unpack(params: TruncationParams, code: int) -> tuple[int, int]:
+    return code & ~(-1 << params.w_x), code >> params.w_x
+
+
+def reference_step_codes(params: TruncationParams, machine_code: int, code: int) -> int:
+    """Reference step on packed ``x | s << w_x`` codes: ``tm_step`` on a ``Config``, no memo."""
+    x, s = unpack(params, code)
     spec = params.machine_by_code.get(machine_code)
     if spec is None:
-        return x, params.reject_code
+        return pack(params, x, params.reject_code)
     if (
         x not in params._config_set
         or s not in params._state_set
         or s >= spec.num_states
         or x >> params.cells >= params.cells
     ):
-        return x, spec.reject
+        return pack(params, x, spec.reject)
     config, state = tm_step(spec, Config.from_code(x, params.cells), s)
-    return config.code, state
+    return pack(params, config.code, state)
 
 
 def stepwise_chains(params: TruncationParams, starts=None) -> Multivector:
@@ -103,7 +113,7 @@ def stepwise_chains(params: TruncationParams, starts=None) -> Multivector:
         extensions = []
         for i in range(params.steps):
             mask |= slots[4 * i + 1].encode(x) | slots[4 * i + 2].encode(s)
-            x, s = reference_step_codes(params, m_code, x, s)
+            x, s = unpack(params, reference_step_codes(params, m_code, pack(params, x, s)))
             extensions.append(slots[4 * i + 3].encode(x) | slots[4 * i + 4].encode(s))
             if i < last and (x not in configs or s not in states):
                 break
@@ -328,12 +338,12 @@ class TestStepCodes:
     def test_every_enumerated_input(self, cells):
         params = TruncationParams(list(CORPUS.values()), 1, cells)
         cases = [
-            (m.code, x, s)
+            (m.code, pack(params, x, s))
             for m in params.machines
             for x in params.config_codes
             for s in params.state_codes
         ]
-        assert any(s >= CORPUS["bb1"].num_states for _, _, s in cases)
+        assert any(code >> params.w_x >= CORPUS["bb1"].num_states for _, code in cases)
         for _ in range(2):  # the second pass reads the successor memo
             for case in cases:
                 assert params.step_codes(*case) == reference_step_codes(params, *case), case
@@ -361,7 +371,8 @@ class TestStepCodes:
             (seeker.code, 4, halted): (4, halted),  # halted states are fixed points
         }
         for _ in range(2):
-            for case, want in cases.items():
+            for (m_code, x, s), want in cases.items():
+                case, want = (m_code, pack(params, x, s)), pack(params, *want)
                 assert params.step_codes(*case) == want, case
                 assert reference_step_codes(params, *case) == want, case
 
@@ -576,7 +587,7 @@ class TestProjections:
         base = encode(spec.code, "0", layout) | encode(0, "1", layout) | encode(
             spec.start, "2", layout
         )
-        x1, s1 = params.step_codes(spec.code, 0, spec.start)
+        x1, s1 = unpack(params, params.step_codes(spec.code, pack(params, 0, spec.start)))
         chained_mask = (
             base
             | encode(x1, "3", layout)
@@ -686,7 +697,7 @@ class TestConstructionEquivalence:
                     ),
                     params,
                 )
-                assert bounded_halt_probe(spec, config, 2, params) == (not free.is_zero())
+                assert bounded_halt_probe(spec, config, 2) == (not free.is_zero())
 
 
 class TestChainBuild:
@@ -718,6 +729,36 @@ class TestChainBuild:
                 tracemalloc.stop()
             assert peak < 64 << 10
         assert len(build_chained_superposition(TruncationParams([loop3], 300, 4), start)) == 1
+
+    def test_cap_counts_each_block_in_words(self):
+        # At K = MAX_TERMS / 4 two words per block fit the cap and three do
+        # not: loop3's blocks at 120 cells are 120 + 7 + 2 = 129 bits.
+        loop3 = CORPUS["loop3"]
+        params = TruncationParams([loop3], MAX_TERMS // 4, 120)
+        assert params.h == 129
+        with pytest.raises(ResourceCapError, match=f"needs {3 * MAX_TERMS // 2} terms"):
+            build_chained_superposition(params, [(loop3.code, 0, loop3.start)])
+
+    def test_probe_count_is_the_chain_builds(self, monkeypatch):
+        # probe_report counts the chain before TruncationParams exists; its
+        # count must equal the build's at every block width.
+        counts = []
+
+        def refuse(count, what):
+            counts.append(count)
+            raise ResourceCapError(what)
+
+        monkeypatch.setattr(halting, "check_terms", refuse)
+        for spec in CORPUS.values():
+            for cells in range(1, 200):
+                with pytest.raises(ResourceCapError):
+                    probe_report(spec, Config(0, 0, cells), 3, mode="direct")
+                with pytest.raises(ResourceCapError):
+                    build_chained_superposition(
+                        TruncationParams([spec], 3, cells), [(spec.code, 0, spec.start)]
+                    )
+                assert counts[-2] == counts[-1], (spec.name, cells)
+        assert set(counts) == {6, 12, 18, 24}
 
     @pytest.mark.parametrize("cells", [1, 2, 3, 5])
     def test_default_config_set_is_every_code(self, cells):
@@ -769,7 +810,7 @@ class TestChainBuild:
         )
         unknown = next(c for c in range(1 << 8) if c not in params.machine_by_code)
         dies = (bb2.code, 4, 1)  # reads 0 in state 1 at the right edge: runs off
-        x1, s1 = params.step_codes(*dies)
+        x1, s1 = unpack(params, params.step_codes(dies[0], pack(params, *dies[1:])))
         assert x1 not in params.config_codes or s1 not in params.state_codes
         starts = [
             (unknown, 0, 0),
@@ -984,11 +1025,21 @@ class TestBoundedProbe:
                     Config(1 << i, 0, cells) for i in range(cells)
                 ]
                 for steps in (1, 2, 3, 4):
-                    params = TruncationParams([spec], steps, cells)
                     for config in tapes:
-                        ga = bounded_halt_probe(spec, config, steps, params)
+                        ga = bounded_halt_probe(spec, config, steps)
                         direct, _ = run_direct(spec, config, steps)
                         assert ga == direct, (spec.name, cells, steps, config.code)
+
+    def test_huge_tape_refused_before_the_config_range(self):
+        # 10^9 cells: TruncationParams would form a 10^9-bit ``cells << cells``.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="^probe chain needs 250000016 terms"):
+                bounded_halt_probe(CORPUS["loop3"], Config(0, 0, 10**9), 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("cells", [40, 64, 200])
     def test_wide_tape_agrees_with_direct_simulation(self, cells):
