@@ -24,10 +24,17 @@ gate-by-gate :func:`nand_apply` stays as the reference.
 Because places are write-once, every temporary lands in a fresh ancilla
 place; netlists therefore grow monotonically and validate as a topological
 order over their gates.
+
+:func:`run_netlist_planes` runs many memories at once, bitsliced, one big
+int per place holding that place's bit in every lane.  It runs the plane
+program each netlist compiles once (:func:`_plane_program`): XORs fused,
+unread gates dropped, polarities tracked, so a NOT costs nothing.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import and_, or_, xor
 from typing import AbstractSet, Callable, Iterable, Mapping
 
 from .core import Coefficient, Multivector, _accumulate, blade_mul, reorder_sign
@@ -106,8 +113,9 @@ class Netlist:
     only read inputs or earlier gate outputs.  A netlist is checked and
     compiled once, when it is built, and cannot be changed afterwards: its
     window of places ``lo .. lo + width - 1`` spans every input, gate and
-    output place, its ``(p, q, r)`` program counts places from ``lo``, and
-    every run, per blade or bitsliced, reads that one program.
+    output place, and its ``(p, q, r)`` program counts places from ``lo``.
+    The per-blade run reads that program gate by gate; the bitsliced run
+    reads the plane program compiled from it at the same point.
     """
 
     gates: tuple[NandGate, ...]
@@ -161,24 +169,92 @@ class Netlist:
         object.__setattr__(self, "_targets", targets)
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_width", max(places, default=lo - 1) + 1 - lo)
-        object.__setattr__(self, "_program", tuple((g.p - lo, g.q - lo, g.r - lo) for g in gates))
+        program = tuple((g.p - lo, g.q - lo, g.r - lo) for g in gates)
+        object.__setattr__(self, "_program", program)
         object.__setattr__(self, "_ascending", all(a.r < b.r for a, b in zip(gates, gates[1:])))
+        planes = _plane_program(program, [p - lo for p in inputs], [p - lo for p in self.outputs])
+        object.__setattr__(self, "_planes", planes)
+
+    @property
+    def plane_ops(self) -> int:
+        """Big-int operations of one bitsliced run, complemented outputs included."""
+        steps, outs = self._planes
+        return sum(1 + (fn is _and_not) for fn, *_ in steps) + sum(o[2] for o in outs)
+
+
+def _and_not(p: int, q: int) -> int:
+    """``p & ~q`` without the negative ``~q``, which CPython's big-int ``&`` copies first."""
+    return p ^ p & q
+
+
+def _plane_program(program, inputs, outputs):
+    """Compile a ``(p, q, r)`` program into plane instructions, once per netlist.
+
+    XOR fusion: ``s = u NAND v`` with ``u = a NAND t``, ``v = b NAND t`` and
+    ``t = a NAND b`` is ``a ^ b``, when ``u`` and ``v`` are read only by ``s``
+    and are not outputs.  Gates whose target is never read and is not an
+    output are then dropped.  Each wire keeps a plane and a polarity, true or
+    complemented: a NAND of two true planes is one ``&`` stored complemented,
+    of two complemented planes one ``|`` stored true, of mixed ones
+    ``P & ~Q`` stored complemented, and ``a NAND a`` reuses a's plane with
+    the polarity flipped; an XOR is one ``^`` whose polarity is the XOR of
+    its inputs'.  Returns the instructions ``(fn, a, b, r, frees)``, each
+    freeing the planes it reads last, and one ``(place, plane, inverted)``
+    per output.
+    """
+    writer = {r: (p, q) for p, q, r in program}
+    reads = Counter(w for p, q, _ in program for w in (p, q))
+    ops, live = {}, set(outputs)  # live: the outputs, then what they read
+    for p, q, r in program:
+        ops[r] = (None, p, q)  # a NAND, unless fused below
+        if reads[p] != 1 or reads[q] != 1 or {p, q} & live:  # p == q reads twice
+            continue
+        u, v = writer.get(p, ()), writer.get(q, ())
+        for t in set(u) & set(v) & writer.keys():
+            x, y = u[u[0] == t], v[v[0] == t]  # t never reads t, so u = (t, t) fails here
+            if sorted(writer[t]) == sorted((x, y)):
+                ops[r] = (xor, x, y)
+    kept = []
+    for _, _, r in reversed(program):
+        if r in live:
+            kept.append(r)
+            live.update(ops[r][1:])
+    where = {place: (place, False) for place in inputs}  # place -> (plane, inverted)
+    steps = []
+    for r in reversed(kept):
+        fn, a, b = ops[r]
+        (a, ia), (b, ib) = where[a], where[b]
+        if fn is xor:
+            where[r] = (r, ia != ib)
+        elif (a, ia) == (b, ib):
+            where[r] = (a, not ia)
+            continue
+        elif ia == ib:
+            fn, where[r] = (or_ if ia else and_), (r, not ia)
+        else:
+            fn, where[r] = _and_not, (r, True)
+            if ia:
+                a, b = b, a
+        steps.append((fn, a, b, r))
+    outs = tuple((place, *where.get(place, (place, False))) for place in outputs)
+    read_later = {plane for _, plane, _ in outs}  # output planes are never freed
+    freeing = []
+    for fn, a, b, r in reversed(steps):
+        freeing.append((fn, a, b, r, tuple({a, b} - read_later)))
+        read_later |= {a, b}
+    return tuple(reversed(freeing)), outs
 
 
 _CELLS = bytes.maketrans(b"01", b"\0\1")  # binary digits -> place cells
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _refuse_occupied_targets(
-    netlist: Netlist, occupied: Callable[[int], int], where: str
-) -> None:
-    """Raise on the first gate target, in gate order, that ``occupied`` reports set."""
-    for _, _, r in netlist._program:
-        place = netlist._lo + r
-        if occupied(place):
-            raise TargetOccupiedError(
-                f"target place {place} is not empty in the initial {where}"
-            )
+def _refuse_occupied_targets(netlist: Netlist, occupied: int, where: str) -> None:
+    """Raise on the first gate target, in gate order, that is set in ``occupied``."""
+    if occupied & netlist._targets:
+        lo = netlist._lo
+        place = next(lo + r for _, _, r in netlist._program if occupied >> lo + r & 1)
+        raise TargetOccupiedError(f"target place {place} is not empty in the initial {where}")
 
 
 def run_netlist(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
@@ -195,7 +271,7 @@ def run_netlist(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
     start = memory.mask
     targets = netlist._targets
     if start & targets:
-        _refuse_occupied_targets(netlist, lambda r: start >> r & 1, "memory")
+        _refuse_occupied_targets(netlist, start, "memory")
     lo, width, program = netlist._lo, netlist._width, netlist._program
     window = start >> lo & (1 << width) - 1
     cells = bytearray(format(window, f"0{width}b")[::-1], "ascii").translate(_CELLS)
@@ -220,25 +296,31 @@ def run_netlist_planes(
     """Run the netlist on ``lanes`` memories at once, bitsliced.
 
     ``planes`` maps a place to its plane: bit t is that place's bit in lane
-    t, and an absent place reads as the zero plane.  Each gate is one
-    ``full ^ (P & Q)`` over every lane, and each wire is freed after its
-    last read unless it is an output.  Returns the output places' planes; an
-    output that no gate writes reads as the zero plane.
+    t, and an absent place reads as the zero plane.  The run executes the
+    netlist's compiled plane program (:func:`_plane_program`): one big-int
+    operation per instruction over every lane, each plane freed after its
+    last read unless it holds an output.  ``planes`` is read, never changed,
+    and the run keeps no reference to it past its copy, so the input planes
+    of a mapping that only the call holds go after their last read too.
+    Returns the output places' planes, complemented where the program holds
+    them complemented; an output that no gate writes reads as the zero plane.
     """
-    _refuse_occupied_targets(netlist, lambda r: planes.get(r, 0), "planes")
-    lo, program = netlist._lo, netlist._program
-    full = (1 << lanes) - 1
-    outputs = {place - lo for place in netlist.outputs}
-    last_read = {}
-    for idx, (p, q, _) in enumerate(program):
-        last_read[p] = last_read[q] = idx
+    targets = netlist._targets
+    _refuse_occupied_targets(
+        netlist,
+        sum(1 << p for p, plane in planes.items() if plane and p >= 0 and targets >> p & 1),
+        "planes",
+    )
+    lo, (steps, outs) = netlist._lo, netlist._planes
     wires = {place - lo: plane for place, plane in planes.items()}
-    for idx, (p, q, r) in enumerate(program):
-        wires[r] = full ^ (wires.get(p, 0) & wires.get(q, 0))
-        for place in (p, q):
-            if last_read[place] == idx and place not in outputs:
-                wires.pop(place, None)
-    return {place: wires.get(place - lo, 0) for place in netlist.outputs}
+    del planes
+    get, pop = wires.get, wires.pop
+    for fn, a, b, r, frees in steps:
+        wires[r] = fn(get(a, 0), get(b, 0))
+        for w in frees:
+            pop(w, None)
+    full = (1 << lanes) - 1
+    return {lo + place: get(w, 0) ^ full if inverted else get(w, 0) for place, w, inverted in outs}
 
 
 class GateBuilder:

@@ -136,6 +136,7 @@ def cmd_factor(args: argparse.Namespace) -> RunReport:
             "terms_before": stats["terms_before"],
             "terms_after": stats["terms_after"],
             "multiply_passes": stats["multiply_passes"],
+            **{key: stats[key] for key in ("gates", "plane_ops") if key in stats},
         },
         wall_time_s=elapsed,
     )
@@ -221,10 +222,12 @@ def _print_text(report: RunReport) -> None:
             f" pointwise evaluations: {report.counters['oracle_eval_count']}"
         )
     elif report.command == "factor":
+        c = report.counters
         print("divisors:", " ".join(str(d) for d in report.result["divisors"]))
         print(
-            f"terms: {report.counters['terms_before']} -> {report.counters['terms_after']},"
-            f" multiply passes: {report.counters['multiply_passes']}"
+            f"terms: {c['terms_before']} -> {c['terms_after']},"
+            f" multiply passes: {c['multiply_passes']}, gates: {c['gates']}"
+            + (f", plane ops: {c['plane_ops']}" if "plane_ops" in c else "")
         )
     elif report.command == "halt-probe":
         r = report.result

@@ -17,11 +17,12 @@ places.
 the 4^n-term state, held to ``core.MAX_TERMS`` terms (n <= 10), and
 multiplies it with ``multiply_all``.  Its fast route runs the same NAND
 netlist bitsliced: lane t of a plane is the term with x = t mod 2^n and
-y = t >> n, every gate acts on all 4^n lanes at once
-(:func:`gacalc.circuit.run_netlist_planes`), and the projection onto
-product = Z is an AND of the product planes, so the 4^n-term state is never
-built.  Only the surviving lanes become terms.  Its 4^n-bit planes are
-bounded by width, ``FAST_MAX_N``, not by a term count.
+y = t >> n, and each instruction of the netlist's compiled plane program
+acts on all 4^n lanes at once (:func:`gacalc.circuit.run_netlist_planes`):
+the 1,428 gates at n = 12 cost 768 big-int operations.  The projection
+onto product = Z is an AND of the product planes, so the 4^n-term state is
+never built, and only the surviving lanes become terms.  Its 4^n-bit
+planes are bounded by width, ``FAST_MAX_N``, not by a term count.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .circuit import (
 from .core import Multivector, ResourceCapError, check_terms
 from .encoding import EncodingRangeError
 
-FAST_MAX_N = 12  # 4^12-bit planes, 49 live at most: 157 MiB max RSS at n = 12
+FAST_MAX_N = 12  # 4^12-bit planes, 49 live at most: 129 MiB max RSS at n = 12
 
 ROUTES = ("faithful", "fast")
 
@@ -157,6 +158,7 @@ def _plane_divisors(fl: FactoringLayout, z: int) -> list[int]:
     netlist = fl.multiplier_netlist()
     lanes = 1 << 2 * fl.n
     full = (1 << lanes) - 1
+    # Unnamed here, so the run can drop each operand plane after its last read.
     product = run_netlist_planes(netlist, _operand_planes(netlist, lanes), lanes)
     hits = full
     for k, place in enumerate(netlist.output_groups[0]):
@@ -173,7 +175,10 @@ def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
     """Full pipeline for one target; returns divisors plus stage statistics.
 
     The result always carries the projected state under ``"state"``: it holds
-    only the ``terms_after`` surviving terms, one per divisor.
+    only the ``terms_after`` surviving terms, one per divisor.  Beside the one
+    multiply pass it counts the classical work that simulates it: the
+    multiplier's ``gates`` and, on the fast route, ``plane_ops``, the big-int
+    operations of its compiled plane program, each over all 4^n lanes.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
@@ -199,7 +204,8 @@ def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
         terms_before = len(state)
         multiplied = multiply_all(fl, state)
         projected = project_product(fl, multiplied, z)
-    return {
+    netlist = fl.multiplier_netlist()
+    stats = {
         "z": z,
         "n": n,
         "route": route,
@@ -207,5 +213,9 @@ def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
         "terms_before": terms_before,
         "terms_after": len(projected),
         "multiply_passes": 1,
+        "gates": len(netlist.gates),
         "state": projected,
     }
+    if route == "fast":
+        stats["plane_ops"] = netlist.plane_ops
+    return stats

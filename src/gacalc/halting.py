@@ -215,8 +215,10 @@ class TruncationParams:
     why the per-term code shifts without a range check.
 
     The default configuration set, every ``tape | head << cells`` code, is
-    ``range(cells << cells)``: it is never enumerated unless iterated, so a
-    one-chain probe holds only its 2K blocks, which the chain cap bounds.
+    ``range(cells << cells)``.  It is formed only when ``config_codes`` is
+    read: membership tests the head, ``x >> cells in range(cells)``, so a
+    one-chain probe holds only its 2K blocks, which the chain cap bounds,
+    at any tape width.
     """
 
     def __init__(
@@ -246,14 +248,12 @@ class TruncationParams:
         # Every code below cells << cells fits, as cells <= 2^head_bits.
         w_x = cells + (cells - 1).bit_length()
         if config_codes is None:
-            # Counted by shift: len() of a range overflows past sys.maxsize.
-            self._config_count = cells << cells
-            self.config_codes = self._config_set = range(self._config_count)
+            # x is a default code exactly when its head, x >> cells, is a cell.
+            self._codes, self._config_shift, self._config_set = None, cells, range(cells)
         else:
-            self.config_codes = _code_set(config_codes, "config_codes")
-            self._config_set = frozenset(self.config_codes)
-            self._config_count = len(self.config_codes)
-            w_x = max(w_x, max(self.config_codes).bit_length())
+            self._codes = _code_set(config_codes, "config_codes")
+            self._config_shift, self._config_set = 0, frozenset(self._codes)
+            w_x = max(w_x, max(self._codes).bit_length())
         if state_codes is None:
             state_codes = range(max(m.num_states for m in machines))
         self.state_codes = _code_set(state_codes, "state_codes")
@@ -277,6 +277,16 @@ class TruncationParams:
         # and so never alias a packed key.
         self._successors: dict[int, dict[int, int]] = {m.code: {} for m in machines}
 
+    @property
+    def config_codes(self) -> Sequence[int]:
+        """The enumerated configuration codes, the default range formed on each read."""
+        return range(self._config_count) if self._codes is None else self._codes
+
+    @property
+    def _config_count(self) -> int:
+        # Counted by shift: len() of a range overflows past sys.maxsize.
+        return self.cells << self.cells if self._codes is None else len(self._codes)
+
     def step_codes(self, machine_code: int, code: int) -> int:
         """One step on a packed block ``x | s << w_x``, with the REJECT conventions.
 
@@ -289,7 +299,7 @@ class TruncationParams:
         spec = self.machine_by_code.get(machine_code)
         if spec is None:
             return x | self.reject_code << w_x
-        if x not in self._config_set or s not in self._state_set:
+        if x >> self._config_shift not in self._config_set or s not in self._state_set:
             return x | spec.reject << w_x
         memo = self._successors[machine_code]
         out = memo.get(code)
@@ -399,7 +409,7 @@ def instance_project(
     """Keep terms of one machine with one input and its start state in block 0."""
     if spec.code not in params.machine_by_code:
         raise ValueError("machine is not part of the enumerated machine set")
-    if input_code not in params._config_set:
+    if input_code >> params._config_shift not in params._config_set:
         raise ValueError(f"input config code {input_code} outside the enumerated set")
     w_m = params.w_m
     select = ~(-1 << w_m + params.h)  # the machine code and block 0
@@ -456,8 +466,10 @@ def build_chained_superposition(
     it bounds the step count and the tape width as well as the starts.
     """
     w_m, w_x, w_s, h = params.w_m, params.w_x, params.w_s, params.h
-    per_machine = params._config_count * len(params.state_codes)
-    chains = len(params.machines) * per_machine if starts is None else len(starts)
+    if starts is None:
+        chains = len(params.machines) * params._config_count * len(params.state_codes)
+    else:
+        chains = len(starts)
     check_terms(chains * 2 * params.steps * _words(h), "chained superposition")
     if starts is None:
         # Every default code fits its field: TruncationParams sized w_x and w_s for them.
@@ -481,7 +493,8 @@ def build_chained_superposition(
     first = w_m + h  # block 1, step 0's output; step i's is block 2i+1
     rest = range(first + 2 * h, params.dimension, 2 * h)
     step_codes = params.step_codes
-    successors, configs, states = params._successors, params._config_set, params._state_set
+    successors, states = params._successors, params._state_set
+    shift, configs = params._config_shift, params._config_set
     terms: dict[int, int] = {}
     for m_code, counts in groups:
         get = successors.get(m_code, {}).get
@@ -499,7 +512,7 @@ def build_chained_superposition(
             for offset in rest:
                 nxt = get(out)
                 if nxt is None:
-                    if out & x_mask not in configs or out >> w_x not in states:
+                    if (out & x_mask) >> shift not in configs or out >> w_x not in states:
                         break  # the previous step's outputs left the enumerated sets
                     nxt = step_codes(m_code, out)
                 ext |= nxt << offset
@@ -536,8 +549,8 @@ def probe_report(spec: TMSpec, config: Config, steps: int, mode: str = "both") -
     if mode not in ("ga", "direct", "both"):
         raise ValueError(f"unknown mode {mode!r}")
     # The chain build's count for this one machine's w_x + w_s-bit blocks,
-    # taken before TruncationParams forms its ``cells << cells`` range, so
-    # every mode refuses a step count or a tape width the chain could not hold.
+    # taken before either mode runs, so every mode refuses a step count or a
+    # tape width the chain could not hold.
     cells = config.cells
     h = cells + (cells - 1).bit_length() + max(1, (spec.num_states - 1).bit_length())
     check_terms(2 * steps * _words(h), "probe chain")

@@ -74,6 +74,26 @@ def int_loop_run(netlist, memory):
     return MemoryBlade(mask, -sign if below & 1 else sign)
 
 
+def plane_loop_run(netlist, planes, lanes) -> dict[int, int]:
+    """Oracle for ``run_netlist_planes``: every gate as ``full ^ (P & Q)``, in order.
+
+    Each place that is not an output is freed after its last read.
+    """
+    lo, program = netlist._lo, netlist._program
+    full = (1 << lanes) - 1
+    outputs = {place - lo for place in netlist.outputs}
+    last_read = {}
+    for idx, (p, q, _) in enumerate(program):
+        last_read[p] = last_read[q] = idx
+    wires = {place - lo: plane for place, plane in planes.items()}
+    for idx, (p, q, r) in enumerate(program):
+        wires[r] = full ^ (wires.get(p, 0) & wires.get(q, 0))
+        for place in (p, q):
+            if last_read[place] == idx and place not in outputs:
+                wires.pop(place, None)
+    return {place: wires.get(place - lo, 0) for place in netlist.outputs}
+
+
 def host_multiply(fl, state: Multivector) -> Multivector:
     """Oracle for ``factoring.multiply_all``: x * y on plain ints, y kept above.
 

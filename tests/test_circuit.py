@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gacalc import circuit
 from gacalc.circuit import (
     CollisionError,
     GateBuilder,
@@ -33,7 +34,7 @@ from gacalc.circuit import (
 from gacalc.core import Multivector
 from gacalc.factoring import FactoringLayout, _multiplier_for, build_factoring_superposition
 
-from conftest import boolean_eval, int_loop_run, nand_fold
+from conftest import boolean_eval, int_loop_run, nand_fold, plane_loop_run
 
 NETLISTS = Path(__file__).parent.parent / "src" / "gacalc" / "netlists"
 
@@ -381,6 +382,17 @@ class TestRunNetlistPlanes:
             nl, planes, lanes
         )
 
+    @pytest.mark.parametrize("occupied", [(2, 3), (3, 4)])
+    def test_first_occupied_target_in_gate_order_is_named(self, occupied):
+        # Targets in gate order 3, 2, 4: the first occupied one is neither
+        # the lowest nor the highest occupied place.
+        nl = Netlist([NandGate(0, 0, r) for r in (3, 2, 4)], [[0]], [[2, 3, 4]])
+        planes = {0: 0b01, 2: 0, **dict.fromkeys(occupied, 0b10)}
+        with pytest.raises(
+            TargetOccupiedError, match=r"^target place 3 is not empty in the initial planes$"
+        ):
+            run_netlist_planes(nl, planes, 2)
+
     def test_invalid_netlist_rejected(self):
         # Refused when built, so no run, planes or per blade, ever sees it.
         with pytest.raises(NetlistValidationError, match="reads place 5"):
@@ -394,6 +406,144 @@ class TestRunNetlistPlanes:
         out = run_netlist_planes(nl, planes, lanes)
         assert out[top] == 0
         assert out[nl.outputs[0]] == 0b1000  # AND: only lane a = b = 1
+
+
+def check_plane_run(nl: Netlist) -> dict[int, int]:
+    """The compiled run equals the gate-by-gate plane loop and ``run_netlist``, lane by lane."""
+    planes, lanes = exhaustive_planes(nl)
+    out = run_netlist_planes(nl, planes, lanes)
+    assert out == plane_loop_run(nl, planes, lanes)
+    for t in range(lanes):
+        mem = run_netlist(nl, load_memory(nl, lane_values(nl, t)))
+        for place in nl.outputs:
+            assert out[place] >> t & 1 == bit_read(mem, place), (t, place)
+    return out
+
+
+@st.composite
+def plane_netlists(draw):
+    """Valid netlists rich in the shapes the plane compiler rewrites.
+
+    Each step is a NAND of known places (``p == q`` allowed) or the 4-NAND
+    XOR, whose t is at times a known place other than ``a NAND b``; later
+    NANDs may read an XOR's t, u or v, so some must not fuse.
+    Outputs may be any known place, dead or not, an input place or a place
+    no gate writes, and the window may start above place 0.
+    """
+    lo = draw(st.integers(0, 3))
+    inputs = list(range(lo, lo + draw(st.integers(1, 3))))
+    known, gates = list(inputs), []
+
+    def nand(p, q):
+        gates.append(NandGate(p, q, lo + len(inputs) + len(gates)))
+        known.append(gates[-1].r)
+        return gates[-1].r
+
+    def pick():
+        return draw(st.sampled_from(known))
+
+    for _ in range(draw(st.integers(0, 8))):
+        a, b = pick(), pick()
+        if draw(st.booleans()):
+            t = nand(a, b) if draw(st.booleans()) else pick()  # a near-XOR when picked
+            flip = draw(st.booleans())
+            u, v = nand(*((t, a) if flip else (a, t))), nand(b, t)
+            nand(*((v, u) if flip else (u, v)))
+        else:
+            nand(a, b)
+    outputs = draw(st.lists(st.sampled_from(known), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        outputs.append(lo + len(inputs) + len(gates))  # never written
+    return Netlist(gates, [inputs], [outputs])
+
+
+def xor_netlist(extra=(), outputs=(5,)) -> Netlist:
+    """t = 0 NAND 1 at 2, u at 3, v at 4, s = 0 XOR 1 at 5, then ``extra`` gates."""
+    gates = [NandGate(0, 1, 2), NandGate(0, 2, 3), NandGate(1, 2, 4), NandGate(3, 4, 5)]
+    return Netlist(gates + [NandGate(*g) for g in extra], [[0], [1]], [list(outputs)])
+
+
+class TestPlaneProgram:
+    """The plane program compiled from each netlist equals the gate-by-gate runs."""
+
+    @given(plane_netlists())
+    @settings(max_examples=300, deadline=None)
+    def test_random_netlists_match_run_netlist(self, nl):
+        check_plane_run(nl)
+
+    @pytest.mark.parametrize(
+        "nl,ops,plane_ops",
+        [
+            (xor_netlist(), ["xor"], 1),
+            (xor_netlist([(3, 3, 6)], (5, 6)), ["and_", "_and_not", "_and_not", "or_"], 6),
+            (xor_netlist(outputs=(5, 4)), ["and_", "_and_not", "_and_not", "or_"], 7),
+            (xor_netlist([(2, 2, 6)], (5, 6)), ["and_", "xor"], 2),
+            (xor_netlist(outputs=(5, 2)), ["and_", "xor"], 3),
+            (
+                Netlist(
+                    [NandGate(0, 0, 2), NandGate(0, 2, 3), NandGate(1, 2, 4), NandGate(3, 4, 5)],
+                    [[0], [1]],
+                    [[5]],
+                ),
+                ["_and_not", "_and_not", "or_"],
+                5,
+            ),
+            (Netlist([NandGate(0, 0, 1)], [[0]], [[1]]), [], 1),
+            (Netlist([NandGate(0, 1, 2), NandGate(0, 0, 3)], [[0], [1]], [[3]]), [], 1),
+            (Netlist([NandGate(0, 1, 2)], [[0], [1]], [[1, 2, 3]]), ["and_"], 2),
+        ],
+        ids=[
+            "xor-fused", "u-read-twice", "v-is-output", "t-read-elsewhere",
+            "t-is-output", "t-not-a-nand-b", "not-is-free", "dead-gate", "input-and-unwritten-outputs",
+        ],
+    )
+    def test_rewrites(self, nl, ops, plane_ops):
+        assert [fn.__name__ for fn, *_ in nl._planes[0]] == ops
+        assert nl.plane_ops == plane_ops
+        out = check_plane_run(nl)
+        if nl.outputs == [1, 2, 3]:
+            assert out[3] == 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [*(lambda n=n: build_nand_multiplier(n) for n in range(1, 8)),
+         lambda: parse_netlist((NETLISTS / "mult3.nand").read_text())],
+        ids=[*(f"mult{n}" for n in range(1, 8)), "mult3.nand"],
+    )
+    def test_equals_gate_by_gate_plane_loop(self, make):
+        nl = make()
+        planes, lanes = exhaustive_planes(nl)
+        assert run_netlist_planes(nl, planes, lanes) == plane_loop_run(nl, planes, lanes)
+
+    @pytest.mark.parametrize(
+        "n,gates,instructions,plane_ops,peak",
+        [(5, 210, 110, 110, 21), (9, 774, 414, 414, 37), (12, 1428, 768, 768, 49)],
+    )
+    def test_multiplier_counts_and_live_planes(self, n, gates, instructions, plane_ops, peak):
+        # Live planes under the compiled run's freeing: every input from the
+        # start, an instruction's target from its instruction on, until the
+        # instruction that frees it.  At most the gate-by-gate run's peak.
+        nl = _multiplier_for(n)
+        steps, _ = nl._planes
+        live = {place - nl._lo for place in nl.inputs}
+        most = len(live)
+        for _, _, _, r, frees in steps:
+            live.add(r)
+            most = max(most, len(live))
+            live.difference_update(frees)
+        assert (len(nl.gates), len(steps), nl.plane_ops) == (gates, instructions, plane_ops)
+        assert most <= peak
+
+    def test_compiled_when_built_never_per_run(self, monkeypatch):
+        nl = build_nand_multiplier(3)
+        planes, lanes = exhaustive_planes(nl)
+        expected = plane_loop_run(nl, planes, lanes)
+
+        def refuse(*args):
+            raise AssertionError("plane program compiled during a run")
+
+        monkeypatch.setattr(circuit, "_plane_program", refuse)
+        assert run_netlist_planes(nl, planes, lanes) == expected
 
 
 class TestNetlistValidation:
@@ -488,9 +638,10 @@ class TestMultiplier:
 
     @pytest.mark.parametrize("n,gates,peak", [(5, 210, 21), (9, 774, 37), (12, 1428, 49)])
     def test_rows_built_beside_their_adders_bound_live_planes(self, n, gates, peak):
-        # Counted under run_netlist_planes' freeing rule: every input is live
-        # from the start, a gate's target from its gate on, and a place that
-        # is not an output is freed after its last read.
+        # Counted under the gate-by-gate plane loop's freeing rule
+        # (conftest.plane_loop_run): every input is live from the start, a
+        # gate's target from its gate on, and a place that is not an output
+        # is freed after its last read.
         nl = _multiplier_for(n)
         lo, program = nl._lo, nl._program
         outputs = {place - lo for place in nl.outputs}

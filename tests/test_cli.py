@@ -278,6 +278,21 @@ class TestFactor:
         assert report["result"]["divisors"] == [1, 7, 13, 91]
         assert report["counters"]["multiply_passes"] == 1
 
+    @pytest.mark.parametrize("route,work", [
+        ("fast", {"gates": 210, "plane_ops": 110}),
+        ("faithful", {"gates": 210}),
+    ])
+    def test_classical_work_beside_the_one_pass(self, capsys, route, work):
+        code, report, _ = run_json(capsys, "factor", "--z", "21", "--n", "5", "--route", route)
+        assert code == 0
+        assert report["counters"] == {
+            "terms_before": 1024, "terms_after": 4, "multiply_passes": 1, **work
+        }
+        code, out, _ = run(capsys, "factor", "--z", "21", "--n", "5", "--route", route)
+        assert code == 0
+        assert "multiply passes: 1, gates: 210" in out
+        assert ("plane ops: 110" in out) == (route == "fast")
+
     def test_one(self, capsys):
         code, report, _ = run_json(capsys, "factor", "--z", "1", "--n", "2")
         assert code == 0

@@ -1,5 +1,6 @@
 """Factoring pipeline against trial division, the host-integer product and
 the documented field geometry, plus faithful/fast route equality."""
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from functools import lru_cache, partial
@@ -373,6 +374,12 @@ class TestPipeline:
     def test_single_multiplication_pass(self):
         assert factor_pipeline(12, 4)["multiply_passes"] == 1
 
+    @pytest.mark.parametrize("n,gates,plane_ops", [(4, 124, 64), (9, 774, 414)])
+    def test_pass_counted_beside_its_classical_work(self, n, gates, plane_ops):
+        fast, faithful = factor_pipeline(3, n, "fast"), factor_pipeline(3, min(n, 4), "faithful")
+        assert (fast["gates"], fast["plane_ops"]) == (gates, plane_ops)
+        assert faithful["gates"] == 124 and "plane_ops" not in faithful
+
     def test_sub_superposition_linearity(self):
         # a restricted (x, y) range yields exactly the matching subset of terms
         fl = FactoringLayout(3)
@@ -458,6 +465,20 @@ class TestPlanePipeline:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="a call owns its arguments from 3.11")
+    def test_operand_planes_go_after_their_last_read(self):
+        # 37 planes are live at most at n = 9 (test_circuit pins it).  Were
+        # the 18 operand planes held for the whole run, the peak would pass
+        # 49 planes of 4^9 bits.
+        _multiplier_for(9)
+        tracemalloc.start()
+        try:
+            assert factor_pipeline(221, 9)["divisors"] == [1, 13, 17, 221]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 44 * (4**9 // 8)
 
 
 class TestSharedNetlist:

@@ -85,7 +85,7 @@ def reference_step_codes(params: TruncationParams, machine_code: int, code: int)
     if spec is None:
         return pack(params, x, params.reject_code)
     if (
-        x not in params._config_set
+        x not in params.config_codes
         or s not in params._state_set
         or s >= spec.num_states
         or x >> params.cells >= params.cells
@@ -623,6 +623,22 @@ class TestProjections:
         assert got == expect
         assert instance_project(got, spec, x0, params) == got
 
+    @pytest.mark.parametrize("config_codes,inside,outside", [
+        (None, [0, 23], [-1, 24, 31]),  # every code below 3 << 3: head 3 is no cell
+        ([0, 9], [0, 9], [-1, 1, 23]),
+    ])
+    def test_instance_projection_refuses_codes_outside_the_config_set(
+        self, config_codes, inside, outside
+    ):
+        spec = CORPUS["bb1"]
+        params = TruncationParams([spec], steps=1, cells=3, config_codes=config_codes)
+        zero = Multivector.zero(params.dimension)
+        for code in inside:
+            assert instance_project(zero, spec, code, params).is_zero()
+        for code in outside:
+            with pytest.raises(ValueError, match=f"code {code} outside the enumerated set"):
+                instance_project(zero, spec, code, params)
+
     def test_instance_projection_empty_when_absent(self):
         spec = CORPUS["bb1"]
         params = TruncationParams([spec], steps=1, cells=1)
@@ -738,6 +754,20 @@ class TestChainBuild:
         assert params.h == 129
         with pytest.raises(ResourceCapError, match=f"needs {3 * MAX_TERMS // 2} terms"):
             build_chained_superposition(params, [(loop3.code, 0, loop3.start)])
+
+    def test_wide_tape_refused_in_bounded_memory(self):
+        # The default config set is never formed: its membership tests the
+        # head by shift, and only default starts read its count.
+        loop3 = CORPUS["loop3"]
+        tracemalloc.start()
+        try:
+            params = TruncationParams([loop3], 8, 10**8)
+            with pytest.raises(ResourceCapError, match="^chained superposition needs 25000016 terms"):
+                build_chained_superposition(params, [(loop3.code, 0, loop3.start)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_probe_count_is_the_chain_builds(self, monkeypatch):
         # probe_report counts the chain before TruncationParams exists; its
