@@ -7,9 +7,12 @@ memory blade with e_r (when the result bit is 1); the accumulated reordering
 sign is tracked for algebraic cross-checks but never consulted by the bit
 semantics.
 
-:func:`run_netlist` runs the gates on a ``bytearray`` with one cell per place
-of the netlist's window, the span of its input, gate and output places, and
-takes the sign once per run.  A run that writes r_1, ..., r_K (in gate
+:func:`run_netlist` runs the netlist on a ``bytearray`` with one cell per
+place of the netlist's window, the span of its input, gate and output places,
+and takes the sign once per run.  The gates run as the block program each
+netlist compiles on its first per-blade run (:func:`_block_program`): runs of
+gates on consecutive targets that read at most ``LUT_INPUTS`` places from
+outside, one table lookup per block.  A run that writes r_1, ..., r_K (in gate
 order) onto the start blade M0 ends at e_{r_K} ... e_{r_1} M0.  Place r_k is
 empty until its write, so no factor contracts, and moving e_{r_k} into
 canonical position passes exactly the set bits below r_k: those of M0 and the
@@ -34,7 +37,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import and_, or_, xor
+from functools import cached_property
+from itertools import product
+from operator import and_, itemgetter, or_, xor
 from typing import AbstractSet, Callable, Iterable, Mapping
 
 from .core import Coefficient, Multivector, _accumulate, blade_mul, reorder_sign
@@ -114,8 +119,9 @@ class Netlist:
     compiled once, when it is built, and cannot be changed afterwards: its
     window of places ``lo .. lo + width - 1`` spans every input, gate and
     output place, and its ``(p, q, r)`` program counts places from ``lo``.
-    The per-blade run reads that program gate by gate; the bitsliced run
-    reads the plane program compiled from it at the same point.
+    The bitsliced run reads the plane program compiled from it at the same
+    point; the per-blade run reads the block program, compiled from it on
+    the first per-blade run.
     """
 
     gates: tuple[NandGate, ...]
@@ -174,6 +180,16 @@ class Netlist:
         object.__setattr__(self, "_ascending", all(a.r < b.r for a, b in zip(gates, gates[1:])))
         planes = _plane_program(program, [p - lo for p in inputs], [p - lo for p in self.outputs])
         object.__setattr__(self, "_planes", planes)
+
+    @cached_property
+    def _blocks(self):
+        """The block program of the per-blade run, compiled on its first run."""
+        return _block_program(self._program)
+
+    @property
+    def table_lookups(self) -> int:
+        """Table lookups of one per-blade run: its block count."""
+        return len(self._blocks)
 
     @property
     def plane_ops(self) -> int:
@@ -248,6 +264,50 @@ def _plane_program(program, inputs, outputs):
 _CELLS = bytes.maketrans(b"01", b"\0\1")  # binary digits -> place cells
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
+LUT_INPUTS = 6  # places a block reads from outside: at most 2^6 table rows
+
+
+def _block_program(program):
+    """Cover a ``(p, q, r)`` program with lookup-table blocks, once per netlist.
+
+    A block is a run of consecutive gates whose targets are consecutive places
+    and which read at most ``LUT_INPUTS`` places from outside the run; the
+    first gate that breaks either rule starts the next block.  A gate reads
+    only inputs and earlier targets, and no target is set at the start, so a
+    block's targets are a function of the cells it reads from outside.  Its
+    table maps each combination of those cells to the target bytes; it is
+    built by running the block's gates once on 2^k-lane ints, lane t holding
+    the combination that lists t's bits most significant first.  Returns
+    ``(itemgetter(*inputs), table, a, b)`` per block, targets ``a:b``.
+    """
+    runs = []  # [inputs, first target, last target]
+    for p, q, r in program:
+        if runs:
+            inputs, a, last = runs[-1]
+            wider = inputs | {x for x in (p, q) if not a <= x <= last}
+            if r == last + 1 and len(wider) <= LUT_INPUTS:
+                runs[-1][0], runs[-1][2] = wider, r
+                continue
+        runs.append([{p, q}, r, r])
+    writer = {r: (p, q) for p, q, r in program}
+    blocks = []
+    for inputs, a, last in runs:
+        inputs, k, m = sorted(inputs), len(inputs), last + 1 - a
+        lanes = 1 << k
+        full = (1 << lanes) - 1
+        # Bit j of the lane index t as a plane: 2^j zeros then 2^j ones, repeated.
+        wires = {x: full // ((1 << (1 << j)) + 1) << (1 << j) for j, x in enumerate(inputs[::-1])}
+        rows = bytearray(lanes * m)
+        for r in range(a, last + 1):
+            p, q = writer[r]
+            wires[r] = full ^ wires[p] & wires[q]
+            rows[r - a :: m] = format(wires[r], f"0{lanes}b").encode()[::-1]
+        rows = rows.translate(_CELLS)
+        keys = product((0, 1), repeat=k) if k > 1 else (0, 1)
+        table = {key: bytes(rows[t * m : t * m + m]) for t, key in enumerate(keys)}
+        blocks.append((itemgetter(*inputs), table, a, last + 1))
+    return tuple(blocks)
+
 
 def _refuse_occupied_targets(netlist: Netlist, occupied: int, where: str) -> None:
     """Raise on the first gate target, in gate order, that is set in ``occupied``."""
@@ -261,9 +321,10 @@ def run_netlist(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
     """Apply every gate in order; the final bit pattern is the circuit value.
 
     Equal to folding :func:`nand_apply` over the gates, sign included.  The
-    window's bits are loaded into one cell per place, each gate writes
-    ``1 ^ p & q`` into its cell, and W, the cells read back on the gate
-    targets, is the OR of the writes, since no target is set at the start.
+    window's bits are loaded into one cell per place, each block of the
+    netlist's block program writes its targets' cells from one table lookup
+    on the cells it reads, and W, the cells read back on the gate targets,
+    is the OR of the writes, since no target is set at the start.
     The sign is taken once, ``reorder_sign(W, M0) * (-1)^P`` with
     P = C(c, 2) - inversions (module docstring); the inversions are counted
     in one pass over the targets, and only when they do not ascend.
@@ -275,8 +336,8 @@ def run_netlist(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
     lo, width, program = netlist._lo, netlist._width, netlist._program
     window = start >> lo & (1 << width) - 1
     cells = bytearray(format(window, f"0{width}b")[::-1], "ascii").translate(_CELLS)
-    for p, q, r in program:
-        cells[r] = 1 ^ cells[p] & cells[q]
+    for get, table, a, b in netlist._blocks:
+        cells[a:b] = table[get(cells)]
     written = int(cells.translate(_DIGITS)[::-1], 2) << lo & targets
     count = written.bit_count()
     parity = count * (count - 1) >> 1

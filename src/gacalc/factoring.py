@@ -11,7 +11,9 @@ itself.  Projecting onto ``mask & (2^2n - 1) == Z`` and reading
 ``multiply_all`` is the multiplier on an arbitrary state: one blade map
 lifted in the layout's own algebra, so it is linear on signed states too.
 It runs the NAND multiplier netlist on each blade and reads its product
-places.
+places; each run is one lookup per block of the netlist's block program
+(:func:`gacalc.circuit.run_netlist`): 13 table lookups for the 210 gates
+at n = 5.
 
 ``factor_pipeline`` runs the full superposition.  Its faithful route builds
 the 4^n-term state, held to ``core.MAX_TERMS`` terms (n <= 10), and
@@ -177,8 +179,9 @@ def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
     The result always carries the projected state under ``"state"``: it holds
     only the ``terms_after`` surviving terms, one per divisor.  Beside the one
     multiply pass it counts the classical work that simulates it: the
-    multiplier's ``gates`` and, on the fast route, ``plane_ops``, the big-int
-    operations of its compiled plane program, each over all 4^n lanes.
+    multiplier's ``gates``; on the fast route ``plane_ops``, the big-int
+    operations of its compiled plane program, each over all 4^n lanes; on
+    the faithful route ``table_lookups``, the lookups of one blade's run.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
@@ -218,4 +221,6 @@ def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
     }
     if route == "fast":
         stats["plane_ops"] = netlist.plane_ops
+    else:
+        stats["table_lookups"] = netlist.table_lookups
     return stats

@@ -548,12 +548,12 @@ def probe_report(spec: TMSpec, config: Config, steps: int, mode: str = "both") -
     """
     if mode not in ("ga", "direct", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    # The chain build's count for this one machine's w_x + w_s-bit blocks,
-    # taken before either mode runs, so every mode refuses a step count or a
-    # tape width the chain could not hold.
+    # The chain build's count for this one machine, taken before either mode
+    # runs, so every mode refuses a step count or a tape width the chain
+    # could not hold.
     cells = config.cells
-    h = cells + (cells - 1).bit_length() + max(1, (spec.num_states - 1).bit_length())
-    check_terms(2 * steps * _words(h), "probe chain")
+    params = TruncationParams([spec], steps, cells)
+    check_terms(2 * steps * _words(params.h), "probe chain")
     out: dict = {
         "machine": spec.name or f"code-{spec.code}",
         "steps": steps,
@@ -562,7 +562,6 @@ def probe_report(spec: TMSpec, config: Config, steps: int, mode: str = "both") -
         "semantics": f"halts within {steps} steps (bounded probe)",
     }
     if mode in ("ga", "both"):
-        params = TruncationParams([spec], steps, cells)
         chain = build_chained_superposition(params, [(spec.code, config.code, spec.start)])
         kept = halt_project(chain, params)
         out["ga_halts_within_k"] = not kept.is_zero()

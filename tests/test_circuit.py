@@ -3,13 +3,14 @@ import random
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gacalc import circuit
+from gacalc import circuit, factoring
 from gacalc.circuit import (
     CollisionError,
     GateBuilder,
@@ -544,6 +545,115 @@ class TestPlaneProgram:
 
         monkeypatch.setattr(circuit, "_plane_program", refuse)
         assert run_netlist_planes(nl, planes, lanes) == expected
+
+
+@st.composite
+def block_runs(draw):
+    """A valid netlist and a start memory that reach every path of the block cover.
+
+    Up to 9 inputs, so a run of gates on consecutive targets can read more
+    than ``LUT_INPUTS`` places from outside; targets either climb one place
+    at a time with optional gaps or come in any order (descending and
+    scattered, so singleton blocks); ``p == q`` gates; outputs that are
+    inputs, written places or places no gate writes.  The start holds any
+    input bits, bits on either side of the window and on unwritten places
+    inside it, and either sign.
+    """
+    lo = draw(st.integers(0, 3))
+    inputs = list(range(lo, lo + draw(st.integers(1, 9))))
+    count = draw(st.integers(0, 16))
+    targets, place = [], inputs[-1]
+    for _ in range(count):
+        place += 1 + draw(st.sampled_from([0, 0, 0, 1]))
+        targets.append(place)
+    if draw(st.booleans()):
+        targets = draw(st.permutations(targets))
+    known, gates = list(inputs), []
+    for r in targets:
+        p = draw(st.sampled_from(known))
+        q = p if draw(st.integers(0, 4)) == 0 else draw(st.sampled_from(known))
+        gates.append(NandGate(p, q, r))
+        known.append(r)
+    unwritten = place + 1
+    outputs = draw(st.lists(st.sampled_from([*known, unwritten]), min_size=1, max_size=4, unique=True))
+    nl = Netlist(gates, [inputs], [outputs])
+    free = set(range(lo, unwritten + 1)) - set(inputs) - set(targets)
+    start = draw(st.integers(0, (1 << lo) - 1)) | draw(st.integers(0, 255)) << unwritten + 1
+    start |= mask_of({p: draw(st.integers(0, 1)) for p in [*inputs, *free]})
+    return nl, MemoryBlade(start, draw(st.sampled_from([1, -1])))
+
+
+def check_blocks(nl: Netlist) -> None:
+    """Blocks cover the gate targets in gate order, at most 2^6 rows per table."""
+    blocks = nl._blocks
+    assert [r for _, _, a, b in blocks for r in range(a, b)] == [r for _, _, r in nl._program]
+    for _, table, a, b in blocks:
+        assert len(table) <= 1 << circuit.LUT_INPUTS == 64
+        assert {len(row) for row in table.values()} == {b - a}
+
+
+class TestBlockProgram:
+    """The per-blade run's table lookups equal the gate-by-gate fold."""
+
+    @given(block_runs())
+    @settings(max_examples=400, deadline=None)
+    def test_random_netlists_match_the_gate_fold(self, run):
+        nl, mem = run
+        assert_matches_oracles(nl, mem)
+        check_blocks(nl)
+
+    @pytest.mark.parametrize(
+        "make,blocks",
+        [
+            (lambda: parse_netlist((NETLISTS / "mult3.nand").read_text()), 1),
+            (lambda: build_nand_multiplier(5), 13),
+            (lambda: _multiplier_for(5), 13),
+            (lambda: build_nand_multiplier(9), 50),
+        ],
+        ids=["mult3.nand", "mult5", "factoring-5", "mult9"],
+    )
+    def test_block_counts(self, make, blocks):
+        nl = make()
+        assert nl.table_lookups == len(nl._blocks) == blocks
+        check_blocks(nl)
+
+    def test_fan_in_beyond_the_table_width_ends_a_block(self):
+        # Targets 8..14 are consecutive; gate k reads input k + 1 beside the
+        # previous target, so the run reads 7 inputs from outside by target 13.
+        gates = [NandGate(0, 1, 8)] + [NandGate(k + 1, 7 + k, 8 + k) for k in range(1, 7)]
+        nl = Netlist(gates, [list(range(8))], [[14]])
+        assert [(a, b, len(table)) for _, table, a, b in nl._blocks] == [(8, 13, 64), (13, 15, 8)]
+        for x in range(256):
+            for sign in (1, -1):
+                assert_matches_oracles(nl, MemoryBlade(x, sign))
+
+    def test_descending_targets_are_singleton_blocks(self):
+        nl = Netlist([NandGate(0, 0, r) for r in (5, 4, 3)], [[0]], [[3, 4, 5]])
+        assert [(a, b, table) for _, table, a, b in nl._blocks] == [
+            (r, r + 1, {0: b"\1", 1: b"\0"}) for r in (5, 4, 3)
+        ]
+
+    def test_compiled_once_on_the_first_per_blade_run(self, monkeypatch):
+        calls = []
+        compile_blocks = circuit._block_program
+        monkeypatch.setattr(
+            circuit, "_block_program", lambda program: calls.append(program) or compile_blocks(program)
+        )
+        nl = build_nand_multiplier(3)
+        assert calls == []
+        for a, b in ((3, 5), (7, 6)):
+            assert read_outputs(nl, run_netlist(nl, load_memory(nl, [a, b]))) == [a * b]
+        assert calls == [nl._program]
+
+    def test_plane_route_never_compiles_blocks(self, monkeypatch):
+        def refuse(program):
+            raise AssertionError("block program compiled on the plane route")
+
+        monkeypatch.setattr(circuit, "_block_program", refuse)
+        fresh = lru_cache(maxsize=None)(factoring._multiplier_for.__wrapped__)
+        monkeypatch.setattr(factoring, "_multiplier_for", fresh)
+        assert factoring.factor_pipeline(21, 5, "fast")["divisors"] == [1, 3, 7, 21]
+        assert "_blocks" not in fresh(5).__dict__
 
 
 class TestNetlistValidation:

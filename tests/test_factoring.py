@@ -379,6 +379,7 @@ class TestPipeline:
         fast, faithful = factor_pipeline(3, n, "fast"), factor_pipeline(3, min(n, 4), "faithful")
         assert (fast["gates"], fast["plane_ops"]) == (gates, plane_ops)
         assert faithful["gates"] == 124 and "plane_ops" not in faithful
+        assert faithful["table_lookups"] == 7 and "table_lookups" not in fast
 
     def test_sub_superposition_linearity(self):
         # a restricted (x, y) range yields exactly the matching subset of terms

@@ -770,8 +770,8 @@ class TestChainBuild:
         assert peak < 1 << 20
 
     def test_probe_count_is_the_chain_builds(self, monkeypatch):
-        # probe_report counts the chain before TruncationParams exists; its
-        # count must equal the build's at every block width.
+        # probe_report counts the chain from its own TruncationParams before
+        # either mode runs; its count must equal the build's at every width.
         counts = []
 
         def refuse(count, what):
@@ -1101,6 +1101,12 @@ class TestReport:
         report = probe_report(CORPUS["loop3"], blank(4), 8, mode="direct")
         assert report["halts_within_k"] is False
         assert "ga_halts_within_k" not in report
+
+    @pytest.mark.parametrize("mode", ["both", "ga", "direct"])
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_step_count_below_one_refused_in_every_mode(self, mode, steps):
+        with pytest.raises(ValueError, match="^step count must be at least 1$"):
+            probe_report(CORPUS["loop3"], blank(4), steps, mode=mode)
 
 
 class TestFileFormat:
