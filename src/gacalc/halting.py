@@ -35,6 +35,15 @@ The first and last sums both count the pairs of output bits in different
 steps' blocks, so they cancel and the sign is
 ``(-1)^(|ext| * (|machine| + |inputs_0|))``: no sign scan at all.
 
+Stepping and assembly: each machine steps from one table compiled on its
+first step, two rows per machine state indexed ``s << 1 | read``, and one
+routine, ``TruncationParams._step_into``, steps codes through it into the
+machine's successor memo; ``step_codes`` calls it on a memo miss, and the
+chain build calls it once per machine over every default start.  A chain's
+first ``SEGMENT`` steps are ORed into its mask; later steps go ``SEGMENT``
+at a time into a segment int, whose bytes are joined and read back once,
+so a K-step chain costs time linear in K.
+
 Everything here is finite by construction: K steps, B tape cells, and
 explicitly enumerated machine/configuration/state sets.  The probe answers
 "halts within K steps" and nothing stronger; the unbounded halting problem
@@ -59,6 +68,9 @@ from .core import Multivector, blade_mul, check_terms
 from .encoding import EncodingRangeError
 
 MOVES = ("L", "R")
+
+# Chain steps per assembly segment: SEGMENT * 2h bits is a whole 16h bytes.
+SEGMENT = 64
 
 
 class MachineFormatError(ValueError):
@@ -273,9 +285,11 @@ class TruncationParams:
         self.h = w_x + self.w_s
         self.dimension = self.w_m + 2 * self.h * steps
         # Per machine: packed input ``x | s << w_x`` -> packed output, filled
-        # by ``step_codes`` for in-set inputs only, whose codes fit w_x and w_s
+        # by ``_step_into`` for in-set inputs only, whose codes fit w_x and w_s
         # and so never alias a packed key.
         self._successors: dict[int, dict[int, int]] = {m.code: {} for m in machines}
+        # Per machine: its step rows, compiled on its first step (``_step_table``).
+        self._tables: dict[int, list[tuple[int, int, int]]] = {}
 
     @property
     def config_codes(self) -> Sequence[int]:
@@ -291,31 +305,67 @@ class TruncationParams:
         """One step on a packed block ``x | s << w_x``, with the REJECT conventions.
 
         Takes and returns the block format the layout and the successor memo
-        use, so no caller splits or packs it.  Results for inputs in the
-        enumerated sets are kept in the machine's successor memo.
+        use, so no caller splits or packs it.  An unknown machine steps to
+        ``reject_code`` and an input outside the enumerated sets to the
+        machine's reject, both with x unchanged and neither memoized; an
+        in-set input is read from the machine's successor memo, which a miss
+        fills through ``_step_into``, the one step rule.
         """
-        w_x, cells = self.w_x, self.cells
-        x, s = code & ~(-1 << w_x), code >> w_x
+        w_x = self.w_x
+        x = code & ~(-1 << w_x)
         spec = self.machine_by_code.get(machine_code)
         if spec is None:
             return x | self.reject_code << w_x
-        if x >> self._config_shift not in self._config_set or s not in self._state_set:
+        if x >> self._config_shift not in self._config_set or code >> w_x not in self._state_set:
             return x | spec.reject << w_x
         memo = self._successors[machine_code]
         out = memo.get(code)
         if out is None:
-            tape, head = x & ~(-1 << cells), x >> cells
-            if s >= spec.num_states or head >= cells:
-                s = spec.reject
-            elif s not in spec.halt_states:  # halted states are fixed points
-                tr = spec.transitions[(s, tape >> head & 1)]
-                tape = tape & ~(1 << head) | tr.write << head
-                moved = head + (1 if tr.move == "R" else -1)
-                # Head runoff: the write stands, the head stays on its cell.
-                head, s = (moved, tr.next_state) if 0 <= moved < cells else (head, spec.reject)
-                x = tape | head << cells
-            out = memo[code] = x | s << w_x
+            self._step_into(machine_code, (code,))
+            out = memo[code]
         return out
+
+    def _step_into(self, machine_code: int, codes: Iterable[int]) -> None:
+        """Step in-set packed ``codes`` of one machine into its successor memo.
+
+        Each step is one row of the machine's step table, compiled on its
+        first step.  A state past the machine's or a head past the tape goes
+        to the machine's reject with x unchanged, and so does a head that
+        runs off: the write stands, the head stays on its cell.
+        """
+        spec = self.machine_by_code[machine_code]
+        w_x, cells, states = self.w_x, self.cells, spec.num_states
+        table = self._tables.get(machine_code)
+        if table is None:
+            table = self._tables[machine_code] = _step_table(spec, w_x)
+        memo = self._successors[machine_code]
+        x_mask, reject = ~(-1 << w_x), spec.reject << w_x
+        for code in codes:
+            x, s = code & x_mask, code >> w_x
+            head = x >> cells
+            if s < states and head < cells:
+                flip, move, nxt = table[s << 1 | x >> head & 1]
+                x ^= flip << head
+                if 0 <= head + move < cells:
+                    memo[code] = x + (move << cells) | nxt
+                    continue
+            memo[code] = x | reject
+
+
+def _step_table(spec: TMSpec, w_x: int) -> list[tuple[int, int, int]]:
+    """Rows ``(write ^ read, -1 or +1, next_state << w_x)`` at ``s << 1 | read``.
+
+    A halt state's rows are ``(0, 0, s << w_x)``: it steps to itself.
+    """
+    rows = []
+    for s in range(spec.num_states):
+        for read in (0, 1):
+            if s in spec.halt_states:
+                rows.append((0, 0, s << w_x))
+            else:
+                tr = spec.transitions[(s, read)]
+                rows.append((tr.write ^ read, 1 if tr.move == "R" else -1, tr.next_state << w_x))
+    return rows
 
 
 def _words(bits: int) -> int:
@@ -459,11 +509,17 @@ def build_chained_superposition(
     ``consistency_project(apply_all_steps(build_free_superposition(...)))``.
 
     Each machine walks its starts as packed blocks ``x | s << w_x``, one
-    successor-memo lookup per step; a miss calls ``params.step_codes``,
-    which fills it.  A start repeated n times gets coefficient +-n; a machine
-    code too wide for its field raises only if one of its chains survives.
-    The cap counts chains x 2K blocks x the 64-bit words a block spans, so
-    it bounds the step count and the tape width as well as the starts.
+    successor-memo lookup per step.  Default starts are every in-set input,
+    so each machine's memo is first filled in one batch (``_step_into``) and
+    the walk only reads it; with explicit starts a miss calls
+    ``params.step_codes``, which fills it.  The first ``SEGMENT`` steps are
+    ORed into the chain mask; the rest go ``SEGMENT`` steps at a time into
+    a segment int of ``SEGMENT * 2h`` bits, a whole number of bytes, and the
+    segments' bytes are joined and read back once, so the assembly is linear
+    in K.  A start repeated n times gets coefficient +-n; a machine code too
+    wide for its field raises only if one of its chains survives.  The cap
+    counts chains x 2K blocks x the 64-bit words a block spans, so it bounds
+    the step count and the tape width as well as the starts.
     """
     w_m, w_x, w_s, h = params.w_m, params.w_x, params.w_s, params.h
     if starts is None:
@@ -471,12 +527,16 @@ def build_chained_superposition(
     else:
         chains = len(starts)
     check_terms(chains * 2 * params.steps * _words(h), "chained superposition")
+    successors = params._successors
     if starts is None:
         # Every default code fits its field: TruncationParams sized w_x and w_s for them.
         ones = dict.fromkeys(
             (x | s << w_x for x in params.config_codes for s in params.state_codes), 1
         )
         groups = [(m.code, ones) for m in params.machines]
+        for m in params.machines:  # every in-set input is a default start
+            if len(successors[m.code]) < len(ones):
+                params._step_into(m.code, ones)
     else:
         by_machine: dict[int, dict[int, int]] = {}
         for m_code, x, s in starts:
@@ -491,10 +551,16 @@ def build_chained_superposition(
     links = _links(params)
     x_mask = ~(-1 << w_x)
     first = w_m + h  # block 1, step 0's output; step i's is block 2i+1
-    rest = range(first + 2 * h, params.dimension, 2 * h)
+    # Steps 1..SEGMENT-1 go into the chain mask at their blocks; steps
+    # SEGMENT.. go into segments, offsets counted from step SEGMENT's block.
+    lead = range(first + 2 * h, first + 2 * h * min(params.steps, SEGMENT), 2 * h)
+    tail = first + 2 * h * SEGMENT
+    full, part = divmod(max(0, params.steps - SEGMENT), SEGMENT)
+    segment = range(0, 2 * h * SEGMENT, 2 * h)
+    segments = [segment] * full + [segment[:part]] * (part > 0)
+    segment_bytes = SEGMENT * h // 4
     step_codes = params.step_codes
-    successors, states = params._successors, params._state_set
-    shift, configs = params._config_shift, params._config_set
+    states, shift, configs = params._state_set, params._config_shift, params._config_set
     terms: dict[int, int] = {}
     for m_code, counts in groups:
         get = successors.get(m_code, {}).get
@@ -509,7 +575,7 @@ def build_chained_superposition(
             # tape/head code and w_s for every machine state and reject code,
             # so a step's outputs fit its output block.
             ext = out << first
-            for offset in rest:
+            for offset in lead:
                 nxt = get(out)
                 if nxt is None:
                     if (out & x_mask) >> shift not in configs or out >> w_x not in states:
@@ -518,6 +584,25 @@ def build_chained_superposition(
                 ext |= nxt << offset
                 out = nxt
             else:
+                if segments:
+                    parts = []
+                    for offsets in segments:
+                        seg = 0
+                        for offset in offsets:
+                            nxt = get(out)
+                            if nxt is None:
+                                if (out & x_mask) >> shift not in configs or out >> w_x not in states:
+                                    break
+                                nxt = step_codes(m_code, out)
+                            seg |= nxt << offset
+                            out = nxt
+                        else:
+                            parts.append(seg.to_bytes(segment_bytes, "little"))
+                            continue
+                        break
+                    if len(parts) < len(segments):
+                        continue  # the chain left the enumerated sets inside a segment
+                    ext |= int.from_bytes(b"".join(parts), "little") << tail
                 # Steps 1..K-1 read the previous step's outputs: ext's output
                 # blocks of steps 0..K-2, moved up one block.
                 mask = m_code | code << w_m | (ext & links) << h | ext

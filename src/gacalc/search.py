@@ -30,6 +30,8 @@ call per value, without building S.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Collection, Iterable
 
 from .core import Coefficient, Multivector, check_terms
@@ -74,14 +76,18 @@ def _database_values(elements: Iterable[int], sl: SearchLayout) -> set[int]:
     """The distinct database values, checked before any term is built.
 
     The two terms per value are checked against ``core.MAX_TERMS`` first.
-    The range is checked once, on the smallest and largest value; every value
-    in between then fits, and is coded as the mask x directly.
+    The range is checked in one pass: the OR of the values is negative or
+    wider than n bits exactly when some value is, and only then are the
+    smallest and largest taken, to name the value that does not fit.  Every
+    value is then coded as the mask x directly.
     """
     values = set(elements)
     check_terms(2 * len(values), "search state")
-    for x in (min(values), max(values)) if values else ():
-        if x < 0 or x >> sl.n:
-            raise EncodingRangeError(f"value {x} does not fit {sl.n}-bit field 'data'")
+    spread = reduce(or_, values, 0)
+    if spread < 0 or spread >> sl.n:
+        x = min(values)
+        x = x if x < 0 else max(values)
+        raise EncodingRangeError(f"value {x} does not fit {sl.n}-bit field 'data'")
     return values
 
 

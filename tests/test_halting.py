@@ -958,19 +958,107 @@ class TestChainBuild:
                 build(params, [kept, (wide, 0, 1)])
 
     def test_corpus_build_fills_each_successor_memo_once(self):
-        # One step_codes call per enumerated (config, state) input and machine,
-        # all at step 0, which is where every default start reads its input.
+        # Every enumerated (machine, config, state) input is stepped exactly
+        # once, in one batch per machine, and a second build steps nothing.
         params = TruncationParams(list(CORPUS.values()), 8, 6)
-        calls = []
-        step_codes = params.step_codes
-        params.step_codes = lambda *args: calls.append(args) or step_codes(*args)
+        batches, stepped = [], []
+        step_into = params._step_into
+
+        def counting(machine_code, codes):
+            codes = list(codes)
+            batches.append(machine_code)
+            stepped.extend((machine_code, code) for code in codes)
+            step_into(machine_code, codes)
+
+        params._step_into = counting
         chain = build_chained_superposition(params)
         inputs = (6 << 6) * len(params.state_codes)
         assert len(chain) == len(CORPUS) * inputs == 18_432
-        assert len(calls) == 18_432
+        assert len(stepped) == len(set(stepped)) == 18_432
+        assert batches == [m.code for m in CORPUS.values()]
         assert [len(memo) for memo in params._successors.values()] == [inputs] * len(CORPUS)
+        for m_code, memo in params._successors.items():
+            for code, out in memo.items():
+                assert out == reference_step_codes(params, m_code, code), (m_code, code)
         assert_same_terms(build_chained_superposition(params), chain)
-        assert len(calls) == 18_432  # the second build reads the memos only
+        assert len(stepped) == 18_432  # the second build reads the memos only
+
+
+def cycler(period: int) -> TMSpec:
+    """A machine whose ``period`` working states run in a cycle on two cells.
+
+    State i writes its read bit flipped when i is a multiple of 3 and moves
+    right when i is even, left when odd, so from cell 0 the head never runs
+    off and a chain from state 0 holds state t after t steps.  State
+    ``period`` is its only halt state.
+    """
+    transitions = {
+        (i, read): Transition(read ^ (i % 3 == 0), "LR"[i % 2 == 0], (i + 1) % period)
+        for i in range(period)
+        for read in (0, 1)
+    }
+    return TMSpec(period + 1, 0, [period], transitions, name=f"cycler-{period}")
+
+
+# Around the ends of the first two assembly segments: 63, 64, 65, 128, 129.
+SEGMENT_STEPS = [halting.SEGMENT * k + d for k, d in ((1, -1), (1, 0), (1, 1), (2, 0), (2, 1))]
+
+
+class TestSegmentedChains:
+    """Chains past the first segment against the stepwise reference."""
+
+    @pytest.mark.parametrize("steps", SEGMENT_STEPS)
+    def test_default_starts(self, steps):
+        params = TruncationParams([CORPUS[n] for n in ("bb2", "loop3", "runner-right")], steps, 2)
+        built = build_chained_superposition(params)
+        assert_same_terms(built, stepwise_chains(params))
+        assert len(built) == 3 * 8 * 4
+        assert set(built.terms.values()) == {1, -1}
+        for m_code, memo in params._successors.items():
+            assert len(memo) == 8 * 4
+            for code, out in memo.items():
+                assert out == reference_step_codes(params, m_code, code), (m_code, code)
+
+    @pytest.mark.parametrize("steps", SEGMENT_STEPS)
+    def test_explicit_starts(self, steps):
+        # State 90 is left out: a chain from state 0 reaches it at step 90,
+        # inside the second segment, and from state 40 at step 50.
+        cyc = cycler(96)
+        machines = [cyc] + [CORPUS[n] for n in ("bb2", "loop3", "runner-right")]
+        states = [s for s in range(97) if s != 90]
+        params = TruncationParams(machines, steps, 2, state_codes=states)
+        candidates = [(m.code, x, s) for m in machines[1:] for x in range(8) for s in range(4)]
+        signs = {}
+        for mask, coeff in stepwise_chains(params, candidates).terms.items():
+            block = mask >> params.w_m & ~(-1 << params.h)
+            signs.setdefault(coeff, (mask & ~(-1 << params.w_m), *unpack(params, block)))
+        minus, plus = signs[-1], signs[1]
+        through, dies_early = (cyc.code, 0, 0), (cyc.code, 0, 40)
+        runs_off = (cyc.code, 4, 0)  # head on cell 1, moving right: reject
+        starts = [minus, minus, plus, through, through, dies_early, runs_off, (cyc.code, 5, 3)]
+        built = build_chained_superposition(params, starts)
+        assert_same_terms(built, stepwise_chains(params, starts))
+        assert -2 in built.terms.values()
+        for start, alive in [(through, steps <= 90), (dies_early, steps <= 50), (runs_off, True)]:
+            single = build_chained_superposition(params, [start])
+            assert_same_terms(single, stepwise_chains(params, [start]))
+            assert single.is_zero() != alive, start
+
+    @pytest.mark.parametrize("steps", SEGMENT_STEPS)
+    def test_machine_code_too_wide(self, steps):
+        # An unknown code steps to reject_code: the chain survives when that
+        # state is enumerated, and then the code must fit w_m bits.
+        bb2 = CORPUS["bb2"]
+        kept = (bb2.code, 0, bb2.start)
+        survives = TruncationParams([bb2], steps, 2, state_codes=[0, 1, 2])
+        starts = [kept, (1 << survives.w_m, 0, 1)]
+        for build in (build_chained_superposition, stepwise_chains):
+            with pytest.raises(EncodingRangeError):
+                build(survives, starts)
+        dropped = TruncationParams([bb2], steps, 2, state_codes=[0, 1, 2], reject_code=3)
+        assert_same_terms(
+            build_chained_superposition(dropped, starts), stepwise_chains(dropped, [kept])
+        )
 
 
 class TestProjectionReferences:
@@ -1078,6 +1166,15 @@ class TestBoundedProbe:
             for steps in (1, 5, 8):
                 direct, _ = run_direct(spec, config, steps)
                 assert bounded_halt_probe(spec, config, steps) == direct
+
+    def test_probe_time_is_linear_in_steps(self):
+        # The chain is assembled in segments, not ORed into one growing mask
+        # per step, whose cost grows with K squared.
+        start = time.perf_counter()
+        report = probe_report(CORPUS["loop3"], blank(4), 400_000, mode="ga")
+        elapsed = time.perf_counter() - start
+        assert (report["chain_terms"], report["halts_within_k"]) == (1, False)
+        assert elapsed < 5, f"{elapsed:.2f}s"
 
     def test_monotone_in_step_bound(self):
         for name in ("bb2", "seeker", "runner-right"):
