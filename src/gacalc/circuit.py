@@ -31,7 +31,8 @@ order over their gates.
 :func:`run_netlist_planes` runs many memories at once, bitsliced, one big
 int per place holding that place's bit in every lane.  It runs the plane
 program each netlist compiles once (:func:`_plane_program`): XORs fused,
-unread gates dropped, polarities tracked, so a NOT costs nothing.
+unread gates dropped, polarities tracked, so a NOT costs nothing, and
+inputs constant in every lane may be folded in.
 """
 from __future__ import annotations
 
@@ -120,8 +121,9 @@ class Netlist:
     window of places ``lo .. lo + width - 1`` spans every input, gate and
     output place, and its ``(p, q, r)`` program counts places from ``lo``.
     The bitsliced run reads the plane program compiled from it at the same
-    point; the per-blade run reads the block program, compiled from it on
-    the first per-blade run.
+    point, or a program with constant inputs folded in, compiled on first
+    use and cached, at most ``FOLDED_PROGRAMS`` at once; the per-blade run
+    reads the block program, compiled from it on the first per-blade run.
     """
 
     gates: tuple[NandGate, ...]
@@ -178,8 +180,21 @@ class Netlist:
         program = tuple((g.p - lo, g.q - lo, g.r - lo) for g in gates)
         object.__setattr__(self, "_program", program)
         object.__setattr__(self, "_ascending", all(a.r < b.r for a, b in zip(gates, gates[1:])))
-        planes = _plane_program(program, [p - lo for p in inputs], [p - lo for p in self.outputs])
-        object.__setattr__(self, "_planes", planes)
+        object.__setattr__(self, "_folds", {})
+        object.__setattr__(self, "_planes", self._folded({}))
+
+    def _folded(self, fixed: Mapping[int, int]):
+        """The plane program with ``fixed``, ``{input place: 0 or 1}``, folded in."""
+        key, folds, lo = tuple(sorted(fixed.items())), self._folds, self._lo
+        if key not in folds:
+            if not fixed.keys() <= set(self.inputs) or not set(fixed.values()) <= {0, 1}:
+                raise ValueError(f"only input places fold, each to 0 or 1: {fixed}")
+            if len(folds) > FOLDED_PROGRAMS:  # the oldest fold goes; the unfolded program stays
+                del folds[next(filter(None, folds))]
+            inputs, outputs = [p - lo for p in self.inputs], [p - lo for p in self.outputs]
+            fixed = {p - lo: bit for p, bit in fixed.items()}
+            folds[key] = _plane_program(self._program, inputs, outputs, fixed)
+        return folds[key]
 
     @cached_property
     def _blocks(self):
@@ -194,7 +209,11 @@ class Netlist:
     @property
     def plane_ops(self) -> int:
         """Big-int operations of one bitsliced run, complemented outputs included."""
-        steps, outs = self._planes
+        return self.folded_plane_ops({})
+
+    def folded_plane_ops(self, fixed: Mapping[int, int]) -> int:
+        """Big-int operations of one run with the inputs ``fixed`` folded in."""
+        steps, outs = self._folded(fixed)
         return sum(1 + (fn is _and_not) for fn, *_ in steps) + sum(o[2] for o in outs)
 
 
@@ -203,8 +222,11 @@ def _and_not(p: int, q: int) -> int:
     return p ^ p & q
 
 
-def _plane_program(program, inputs, outputs):
-    """Compile a ``(p, q, r)`` program into plane instructions, once per netlist.
+FOLDED_PROGRAMS = 4  # folded plane programs a netlist keeps: every pattern of two inputs
+
+
+def _plane_program(program, inputs, outputs, fixed):
+    """Compile a ``(p, q, r)`` program into plane instructions, once per fold.
 
     XOR fusion: ``s = u NAND v`` with ``u = a NAND t``, ``v = b NAND t`` and
     ``t = a NAND b`` is ``a ^ b``, when ``u`` and ``v`` are read only by ``s``
@@ -214,9 +236,13 @@ def _plane_program(program, inputs, outputs):
     of two complemented planes one ``|`` stored true, of mixed ones
     ``P & ~Q`` stored complemented, and ``a NAND a`` reuses a's plane with
     the polarity flipped; an XOR is one ``^`` whose polarity is the XOR of
-    its inputs'.  Returns the instructions ``(fn, a, b, r, frees)``, each
-    freeing the planes it reads last, and one ``(place, plane, inverted)``
-    per output.
+    its inputs'.  An input in ``fixed``, ``{place: bit}``, is the zero
+    plane ``None`` with polarity ``bit``: a NAND with a constant 0 is the
+    constant 1, with a constant 1 the other wire flipped, and an XOR with a
+    constant is the other wire, flipped by it.  Instructions whose target
+    no later instruction or output reads are then dropped.  Returns the
+    instructions ``(fn, a, b, r, frees)``, each freeing the planes it reads
+    last, and one ``(place, plane, inverted)`` per output.
     """
     writer = {r: (p, q) for p, q, r in program}
     reads = Counter(w for p, q, _ in program for w in (p, q))
@@ -236,10 +262,16 @@ def _plane_program(program, inputs, outputs):
             kept.append(r)
             live.update(ops[r][1:])
     where = {place: (place, False) for place in inputs}  # place -> (plane, inverted)
+    where.update((place, (None, bool(bit))) for place, bit in fixed.items())
     steps = []
     for r in reversed(kept):
         fn, a, b = ops[r]
         (a, ia), (b, ib) = where[a], where[b]
+        if b is None:
+            (a, ia), (b, ib) = (b, ib), (a, ia)
+        if a is None:  # a constant: ia is its bit
+            where[r] = (b, ia != ib) if fn is xor else (b, not ib) if ia else (None, True)
+            continue
         if fn is xor:
             where[r] = (r, ia != ib)
         elif (a, ia) == (b, ib):
@@ -256,8 +288,9 @@ def _plane_program(program, inputs, outputs):
     read_later = {plane for _, plane, _ in outs}  # output planes are never freed
     freeing = []
     for fn, a, b, r in reversed(steps):
-        freeing.append((fn, a, b, r, tuple({a, b} - read_later)))
-        read_later |= {a, b}
+        if r in read_later:
+            freeing.append((fn, a, b, r, tuple({a, b} - read_later)))
+            read_later |= {a, b}
     return tuple(reversed(freeing)), outs
 
 
@@ -352,15 +385,17 @@ def run_netlist(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
 
 
 def run_netlist_planes(
-    netlist: Netlist, planes: Mapping[int, int], lanes: int
+    netlist: Netlist, planes: Mapping[int, int], lanes: int, fixed: Mapping[int, int] = {}
 ) -> dict[int, int]:
     """Run the netlist on ``lanes`` memories at once, bitsliced.
 
     ``planes`` maps a place to its plane: bit t is that place's bit in lane
-    t, and an absent place reads as the zero plane.  The run executes the
-    netlist's compiled plane program (:func:`_plane_program`): one big-int
-    operation per instruction over every lane, each plane freed after its
-    last read unless it holds an output.  ``planes`` is read, never changed,
+    t, and an absent place reads as the zero plane; an input place in
+    ``fixed`` holds that bit, 0 or 1, in every lane, folded into the program.
+    The run executes the netlist's compiled plane program
+    (:func:`_plane_program`): one big-int operation per instruction over
+    every lane, each plane freed after its last read unless it holds an
+    output.  ``planes`` is read, never changed,
     and the run keeps no reference to it past its copy, so the input planes
     of a mapping that only the call holds go after their last read too.
     Returns the output places' planes, complemented where the program holds
@@ -372,7 +407,7 @@ def run_netlist_planes(
         sum(1 << p for p, plane in planes.items() if plane and p >= 0 and targets >> p & 1),
         "planes",
     )
-    lo, (steps, outs) = netlist._lo, netlist._planes
+    lo, (steps, outs) = netlist._lo, netlist._folded(fixed)
     wires = {place - lo: plane for place, plane in planes.items()}
     del planes
     get, pop = wires.get, wires.pop

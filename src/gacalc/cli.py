@@ -136,7 +136,7 @@ def cmd_factor(args: argparse.Namespace) -> RunReport:
             "terms_before": stats["terms_before"],
             "terms_after": stats["terms_after"],
             "multiply_passes": stats["multiply_passes"],
-            **{k: stats[k] for k in ("gates", "plane_ops", "table_lookups") if k in stats},
+            **{k: stats[k] for k in ("gates", "tiles", "plane_ops", "table_lookups") if k in stats},
         },
         wall_time_s=elapsed,
     )
@@ -227,7 +227,7 @@ def _print_text(report: RunReport) -> None:
         print(
             f"terms: {c['terms_before']} -> {c['terms_after']},"
             f" multiply passes: {c['multiply_passes']}, gates: {c['gates']}"
-            + (f", plane ops: {c['plane_ops']}" if "plane_ops" in c else "")
+            + (f", tiles: {c['tiles']}, plane ops: {c['plane_ops']}" if "tiles" in c else "")
             + (f", table lookups: {c['table_lookups']}" if "table_lookups" in c else "")
         )
     elif report.command == "halt-probe":

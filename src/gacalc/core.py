@@ -34,21 +34,22 @@ class DimensionMismatch(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """A construction is over ``MAX_TERMS`` terms, or the fast factoring route's width."""
+    """A count is over its cap: terms or chain words over ``MAX_TERMS``, or fast-route lanes."""
 
 
 MAX_TERMS = 1 << 20  # = 4^10: the full factoring grid at n = 10
 
 
-def check_terms(count: int, what: str) -> None:
-    """The one term cap: every construction calls it, counting before it allocates.
+def check_terms(count: int, what: str, unit: str = "terms", cap: int = MAX_TERMS) -> None:
+    """The one cap mechanism: every construction calls it, counting before it allocates.
 
-    A count of 2^64 or more is named by the power of two at or below it, so a
-    caller that cannot afford to form a huge count may pass a lower bound.
+    The refusal names the count's ``unit``.  A count of 2^64 or more is named
+    by the power of two at or below it, so a caller that cannot afford to
+    form a huge count may pass a lower bound.
     """
-    if count > MAX_TERMS:
+    if count > cap:
         size = f"2^{count.bit_length() - 1} or more" if count >> 64 else count
-        raise ResourceCapError(f"{what} needs {size} terms, cap is {MAX_TERMS}")
+        raise ResourceCapError(f"{what} needs {size} {unit}, cap is {cap}")
 
 
 def _suffix_parity(a: int) -> int:

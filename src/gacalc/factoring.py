@@ -18,31 +18,35 @@ at n = 5.
 ``factor_pipeline`` runs the full superposition.  Its faithful route builds
 the 4^n-term state, held to ``core.MAX_TERMS`` terms (n <= 10), and
 multiplies it with ``multiply_all``.  Its fast route runs the same NAND
-netlist bitsliced: lane t of a plane is the term with x = t mod 2^n and
-y = t >> n, and each instruction of the netlist's compiled plane program
-acts on all 4^n lanes at once (:func:`gacalc.circuit.run_netlist_planes`):
-the 1,428 gates at n = 12 cost 768 big-int operations.  The projection
-onto product = Z is an AND of the product planes, so the 4^n-term state is
-never built, and only the surviving lanes become terms.  Its 4^n-bit
-planes are bounded by width, ``FAST_MAX_N``, not by a term count.
+netlist bitsliced: lane t is the term with x = t mod 2^n and y = t >> n,
+and each instruction of the compiled plane program acts on a tile of 2^16
+lanes (:func:`gacalc.circuit.run_netlist_planes`).  Lane bits below 16
+carry operand planes shared by every tile; each higher one is a y bit
+constant in a tile, the top two folded into the program, the rest fed as
+zero or all-ones planes.  The projection onto product = Z is an AND of the
+product planes, so the 4^n-term state is never built.  Memory is bounded
+by the tile at any width; time grows with the 4^n lanes, held to the lane
+budget ``MAX_LANES``.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable
 
 from .circuit import (
     MemoryBlade,
     Netlist,
     build_nand_multiplier,
-    read_outputs,
     run_netlist,
     run_netlist_planes,
 )
-from .core import Multivector, ResourceCapError, check_terms
+from .core import Multivector, check_terms
 from .encoding import EncodingRangeError
 
-FAST_MAX_N = 12  # 4^12-bit planes, 49 live at most: 129 MiB max RSS at n = 12
+TILE_BITS = 16  # a fast-route tile spans 2^16 lanes: 8 KiB planes
+FOLD_BITS = 2  # constant y bits folded into the plane program: 4 programs per width
+MAX_LANES = 4**14  # the fast route's budget: n = 14 runs in about 2 s, n = 15 would take 8
 
 ROUTES = ("faithful", "fast")
 
@@ -111,15 +115,18 @@ def multiply_all(fl: FactoringLayout, state: Multivector) -> Multivector:
 
     Blade ``x | y << n | y << 2n`` becomes ``x*y | y << 2n``.  The product is
     read off the netlist run on that blade; only its bits are read, since
-    the gate writes' sign has no bit content.
+    the gate writes' sign has no bit content: character -1 - p of one
+    ``format`` is place p's bit, with a bit set above them all.
     """
     if state.dimension != fl.dimension:
         raise ValueError("state does not live in this factoring layout")
     netlist, keep = fl.multiplier_netlist(), (1 << fl.n) - 1 << 2 * fl.n
+    places = netlist.output_groups[0]
+    top, read = 1 << max(places) + 1, itemgetter(*(-1 - p for p in reversed(places)))
 
     def op(mask: int) -> tuple[int, int]:
-        product = read_outputs(netlist, run_netlist(netlist, MemoryBlade(mask)))[0]
-        return product | mask & keep, 1
+        out = run_netlist(netlist, MemoryBlade(mask)).mask
+        return int("".join(read(format(out | top, "b"))), 2) | mask & keep, 1
 
     return state.map_blades(op)
 
@@ -139,13 +146,13 @@ def read_divisors(fl: FactoringLayout, state: Multivector) -> set[int]:
 
 
 def _operand_planes(netlist: Netlist, lanes: int) -> dict[int, int]:
-    """Planes of the full operand grid: input j carries bit j of lane index t.
+    """Planes of the grid's first ``lanes`` lanes: input j, 2^j < lanes, carries bit j of t.
 
     The plane of lane bit j repeats 2^j zeros then 2^j ones; it is built by
     doubling one period up to ``lanes`` bits, linear in ``lanes``.
     """
     planes = {}
-    for j, place in enumerate(netlist.inputs):
+    for j, place in enumerate(netlist.inputs[: lanes.bit_length() - 1]):
         half = 1 << j
         plane, period = ((1 << half) - 1) << half, 2 * half
         while period < lanes:
@@ -155,22 +162,43 @@ def _operand_planes(netlist: Netlist, lanes: int) -> dict[int, int]:
     return planes
 
 
-def _plane_divisors(fl: FactoringLayout, z: int) -> list[int]:
-    """y of every lane whose NAND-multiplied product equals z, ascending."""
+def _plane_divisors(fl: FactoringLayout, z: int) -> tuple[list[int], int, int]:
+    """y of every lane whose NAND-multiplied product equals z, ascending,
+    the tile count and the big-int operations of all tiles.  Tile i holds the
+    lanes from i·2^16, so its lane bits from 16 up are the bits of i.
+    """
     netlist = fl.multiplier_netlist()
-    lanes = 1 << 2 * fl.n
+    width, fed, folds, ops = _tiling(fl.n)
+    lanes = 1 << width
     full = (1 << lanes) - 1
-    # Unnamed here, so the run can drop each operand plane after its last read.
-    product = run_netlist_planes(netlist, _operand_planes(netlist, lanes), lanes)
-    hits = full
-    for k, place in enumerate(netlist.output_groups[0]):
-        hits &= product[place] if z >> k & 1 else full ^ product[place]
+    low = _operand_planes(netlist, lanes)
+    products = netlist.output_groups[0]
     ys = []
-    while hits:
-        low = hits & -hits
-        ys.append((low.bit_length() - 1) >> fl.n)
-        hits ^= low
-    return ys
+    tiles = len(folds) << len(fed)
+    for tile in range(tiles):
+        planes = {**low, **{place: full for k, place in enumerate(fed) if tile >> k & 1}}
+        out = run_netlist_planes(netlist, planes, lanes, folds[tile >> len(fed)])
+        hits = full
+        for k, place in enumerate(products):
+            hits &= out[place] if z >> k & 1 else full ^ out[place]
+        while hits:
+            first = hits & -hits
+            ys.append((tile << width | first.bit_length() - 1) >> fl.n)
+            hits ^= first
+    return ys, tiles, ops
+
+
+@lru_cache(maxsize=None)
+def _tiling(n: int) -> tuple[int, tuple[int, ...], tuple[dict[int, int], ...], int]:
+    """Lane bits per tile; the y places above them fed as planes, the tile
+    index's low bits; the folds of the rest, by the index's high bits; and
+    the big-int operations of all tiles."""
+    netlist = _multiplier_for(n)
+    width = min(2 * n, TILE_BITS)
+    high = tuple(netlist.inputs[width:])
+    fed, folded = high[: len(high) - FOLD_BITS], high[len(high) - FOLD_BITS :]
+    folds = tuple({p: i >> k & 1 for k, p in enumerate(folded)} for i in range(1 << len(folded)))
+    return width, fed, folds, sum(map(netlist.folded_plane_ops, folds)) << len(fed)
 
 
 def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
@@ -179,9 +207,9 @@ def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
     The result always carries the projected state under ``"state"``: it holds
     only the ``terms_after`` surviving terms, one per divisor.  Beside the one
     multiply pass it counts the classical work that simulates it: the
-    multiplier's ``gates``; on the fast route ``plane_ops``, the big-int
-    operations of its compiled plane program, each over all 4^n lanes; on
-    the faithful route ``table_lookups``, the lookups of one blade's run.
+    multiplier's ``gates``; on the fast route its ``tiles`` and
+    ``plane_ops``, the big-int operations run over all tiles; on the
+    faithful route ``table_lookups``, the lookups of one blade's run.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
@@ -193,15 +221,12 @@ def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
             f"width n={n} cannot represent every divisor of {z}; need 2^n > z"
         )
     if route == "fast":
-        if n > FAST_MAX_N:
-            raise ResourceCapError(
-                f"width {n} exceeds the configured cap {FAST_MAX_N} (4^n-bit planes)"
-            )
+        # 4^n lanes counted by shift, at most 2^128, so a huge n forms no 4^n.
+        check_terms(1 << min(2 * n, 128), "fast route", "lanes", MAX_LANES)
         terms_before = 4**n
+        ys, tiles, plane_ops = _plane_divisors(fl, z)
         # For z >= 1 each divisor y has one x, so no two lanes share a term.
-        projected = Multivector._wrap(
-            fl.dimension, {z | y << 2 * n: 1 for y in _plane_divisors(fl, z)}
-        )
+        projected = Multivector._wrap(fl.dimension, {z | y << 2 * n: 1 for y in ys})
     else:
         state = build_factoring_superposition(fl)
         terms_before = len(state)
@@ -220,7 +245,7 @@ def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
         "state": projected,
     }
     if route == "fast":
-        stats["plane_ops"] = netlist.plane_ops
+        stats["tiles"], stats["plane_ops"] = tiles, plane_ops
     else:
         stats["table_lookups"] = netlist.table_lookups
     return stats

@@ -526,7 +526,7 @@ def build_chained_superposition(
         chains = len(params.machines) * params._config_count * len(params.state_codes)
     else:
         chains = len(starts)
-    check_terms(chains * 2 * params.steps * _words(h), "chained superposition")
+    check_terms(chains * 2 * params.steps * _words(h), "chained superposition", "words")
     successors = params._successors
     if starts is None:
         # Every default code fits its field: TruncationParams sized w_x and w_s for them.
@@ -638,7 +638,7 @@ def probe_report(spec: TMSpec, config: Config, steps: int, mode: str = "both") -
     # could not hold.
     cells = config.cells
     params = TruncationParams([spec], steps, cells)
-    check_terms(2 * steps * _words(params.h), "probe chain")
+    check_terms(2 * steps * _words(params.h), "probe chain", "words")
     out: dict = {
         "machine": spec.name or f"code-{spec.code}",
         "steps": steps,

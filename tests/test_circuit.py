@@ -548,6 +548,87 @@ class TestPlaneProgram:
 
 
 @st.composite
+def folded_runs(draw):
+    """A netlist from ``plane_netlists`` and a map of some of its inputs to 0 or 1."""
+    nl = draw(plane_netlists())
+    fixed = draw(st.dictionaries(st.sampled_from(nl.inputs), st.integers(0, 1)))
+    return nl, fixed
+
+
+def check_folded_run(nl: Netlist, fixed: dict[int, int]) -> dict[int, int]:
+    """The folded run equals the unfolded run fed zero or all-ones planes, and the gate loop."""
+    planes, lanes = exhaustive_planes(nl)
+    full = (1 << lanes) - 1
+    fed = {**planes, **{place: full * bit for place, bit in fixed.items()}}
+    want = run_netlist_planes(nl, fed, lanes)
+    assert want == plane_loop_run(nl, fed, lanes)
+    assert run_netlist_planes(nl, planes, lanes, fixed) == want
+    unfed = {place: plane for place, plane in planes.items() if place not in fixed}
+    assert run_netlist_planes(nl, unfed, lanes, fixed) == want
+    return want
+
+
+class TestFoldedPlaneProgram:
+    """Inputs constant in every lane, folded into the compiled plane program."""
+
+    @given(folded_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_folds_match_constant_planes(self, case):
+        check_folded_run(*case)
+
+    @pytest.mark.parametrize(
+        "fixed,outputs,ops",
+        [({0: 0}, {0: 0, 2: 1}, 1), ({0: 1}, {0: 1, 2: None}, 2), ({1: 1}, {0: None, 2: None}, 1)],
+        ids=["nand-of-0-is-1", "nand-of-1-is-not", "other-input"],
+    )
+    def test_outputs_that_fold_to_a_constant(self, fixed, outputs, ops):
+        # Outputs 0 (an input) and 2 = 0 NAND 1; a constant output is the
+        # zero plane, complemented for a 1, which costs one operation.
+        nl = Netlist([NandGate(0, 1, 2)], [[0], [1]], [[0, 2]])
+        out = check_folded_run(nl, fixed)
+        full = (1 << 4) - 1
+        for place, bit in outputs.items():
+            if bit is not None:
+                assert out[place] == full * bit, place
+        assert nl.folded_plane_ops(fixed) == ops
+
+    def test_multiplier_folds_drop_work(self):
+        # Folding the top y bit to 0 drops the last partial-product row and its adder.
+        nl = _multiplier_for(9)
+        top = nl.inputs[-1]
+        assert nl.folded_plane_ops({top: 0}) < nl.folded_plane_ops({top: 1}) < nl.plane_ops
+        check = _multiplier_for(3)
+        for bits in range(4):
+            check_folded_run(check, {check.inputs[-1]: bits & 1, check.inputs[-2]: bits >> 1})
+
+    def test_folds_compiled_once_and_bounded(self, monkeypatch):
+        nl = build_nand_multiplier(3)
+        calls = []
+        compile_ = circuit._plane_program
+        monkeypatch.setattr(
+            circuit, "_plane_program", lambda *args: calls.append(args[3]) or compile_(*args)
+        )
+        planes, lanes = exhaustive_planes(nl)
+        folds = [{p: bit} for p in nl.inputs[:3] for bit in (0, 1)]
+        for fixed in folds:
+            run_netlist_planes(nl, planes, lanes, fixed)
+        assert calls == folds
+        for fixed in folds[-circuit.FOLDED_PROGRAMS :]:  # the last four are kept
+            run_netlist_planes(nl, planes, lanes, fixed)
+        run_netlist_planes(nl, planes, lanes, {})  # compiled when built
+        assert calls == folds
+        run_netlist_planes(nl, planes, lanes, folds[0])
+        assert calls == folds + folds[:1]
+
+    @pytest.mark.parametrize("fixed", [{9: 1}, {0: 2}], ids=["not-an-input", "not-a-bit"])
+    def test_only_input_bits_fold(self, fixed):
+        nl = build_nand_multiplier(2)
+        planes, lanes = exhaustive_planes(nl)
+        with pytest.raises(ValueError, match="only input places fold"):
+            run_netlist_planes(nl, planes, lanes, fixed)
+
+
+@st.composite
 def block_runs(draw):
     """A valid netlist and a start memory that reach every path of the block cover.
 

@@ -15,6 +15,7 @@ import gacalc.core
 from gacalc.circuit import NetlistValidationError, load_memory, parse_netlist
 from gacalc.cli import UsageError, _parse_int_set, main
 from gacalc.core import MAX_TERMS, ResourceCapError
+from gacalc.factoring import MAX_LANES
 
 from conftest import boolean_eval, nand_fold
 
@@ -279,7 +280,7 @@ class TestFactor:
         assert report["counters"]["multiply_passes"] == 1
 
     @pytest.mark.parametrize("route,work", [
-        ("fast", {"gates": 210, "plane_ops": 110}),
+        ("fast", {"gates": 210, "tiles": 1, "plane_ops": 110}),
         ("faithful", {"gates": 210, "table_lookups": 13}),
     ])
     def test_classical_work_beside_the_one_pass(self, capsys, route, work):
@@ -353,14 +354,23 @@ class TestFactor:
     @pytest.mark.parametrize(
         "argv,cap",
         [
-            (("--z", "1", "--n", "13"), 12),
+            (("--z", "1", "--n", "15"), MAX_LANES),
             (("--z", "3", "--n", "11", "--route", "faithful"), MAX_TERMS),
         ],
     )
     def test_width_cap_exits_1(self, capsys, argv, cap):
-        code, _, err = run(capsys, "factor", *argv)
+        # Each is the first width over its route's cap (n = 14 fills the lane
+        # budget), refused before any plane or term is built.
+        code, _, err, peak = traced_run(capsys, "factor", *argv)
         assert code == 1
         assert re.search(rf"ResourceCapError: .* cap (is )?{cap}\b", err)
+        assert peak < 1 << 20
+
+    def test_width_13_runs_in_tiles(self, capsys):
+        code, report, _ = run_json(capsys, "factor", "--z", "8189", "--n", "13")
+        assert code == 0
+        assert report["result"]["divisors"] == [1, 19, 431, 8189]
+        assert report["counters"]["tiles"] == 4**13 >> 16
 
 
     def test_faithful_width_64_is_counted_without_len(self, capsys):
@@ -379,7 +389,7 @@ def _factor_case(draw):
     over the route's cap or below 1, a broken target negative, zero or huge.
     """
     route = draw(st.sampled_from(["fast", "faithful"]))
-    run, cap = (8, 13) if route == "fast" else (5, 11)
+    run, cap = (8, 15) if route == "fast" else (5, 11)
     n = draw(st.integers(1, run))
     z = draw(st.integers(1, (1 << n) - 1))
     broken = draw(st.none() | st.sampled_from(["n", "z"]))
@@ -576,7 +586,7 @@ class TestHaltProbeArgv:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert code == 1
-        assert "ResourceCapError: probe chain needs 2^100 or more terms" in err
+        assert "ResourceCapError: probe chain needs 2^100 or more words" in err
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("mode", ["both", "ga", "direct"])
@@ -589,7 +599,7 @@ class TestHaltProbeArgv:
         ]
         code, _, err, peak = traced_main(argv)
         assert code == 1
-        assert "ResourceCapError: probe chain needs 250000016 terms" in err
+        assert "ResourceCapError: probe chain needs 250000016 words" in err
         assert peak < 1 << 20
 
 

@@ -645,8 +645,8 @@ def test_one_term_cap_mechanism():
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
         return _names(exc, "ResourceCapError")
 
-    # The bitsliced factoring route holds planes, not terms: a width limit.
-    assert _functions_where(raises_cap) == {"core.check_terms", "factoring.factor_pipeline"}
+    # Terms, chain words and fast-route lanes are all counted through check_terms.
+    assert _functions_where(raises_cap) == {"core.check_terms"}
     calls_check = _functions_where(
         lambda node: isinstance(node, ast.Call) and _names(node.func, "check_terms")
     )
@@ -654,6 +654,7 @@ def test_one_term_cap_mechanism():
         "cli._parse_int_set",
         "search._database_values",
         "factoring.build_factoring_superposition",
+        "factoring.factor_pipeline",
         "halting.build_free_superposition",
         "halting.build_chained_superposition",
         "halting.probe_report",

@@ -1,5 +1,6 @@
 """Factoring pipeline against trial division, the host-integer product and
 the documented field geometry, plus faithful/fast route equality."""
+import random
 import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError
@@ -9,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gacalc.circuit import MemoryBlade, relabel_and_discard, run_netlist
+from gacalc.circuit import (
+    MemoryBlade,
+    read_outputs,
+    relabel_and_discard,
+    run_netlist,
+    run_netlist_planes,
+)
 from gacalc.core import MAX_TERMS, Multivector, ResourceCapError, to_records
 from gacalc.encoding import (
     EncodingRangeError,
@@ -20,9 +27,12 @@ from gacalc.encoding import (
     encode_wide,
 )
 from gacalc.factoring import (
+    MAX_LANES,
     ROUTES,
     FactoringLayout,
     _multiplier_for,
+    _operand_planes,
+    _plane_divisors,
     build_factoring_superposition,
     factor_pipeline,
     multiply_all,
@@ -224,6 +234,19 @@ class TestMultiplyAll:
             assert decode(mask, "0", layout) | decode(mask, "1", layout) << 3 == 35
             assert decode(mask, "2", layout) == 7
 
+    def test_product_read_equals_read_outputs_on_the_n5_grid(self):
+        # multiply_all reads the product places in one format; read_outputs
+        # decodes them bit by bit from the same run.
+        fl = FactoringLayout(5)
+        netlist, keep = fl.multiplier_netlist(), 0b11111 << 10
+        want = {}
+        for mask in build_factoring_superposition(fl).masks():
+            product = read_outputs(netlist, run_netlist(netlist, MemoryBlade(mask)))[0]
+            image = product | mask & keep
+            assert multiply_all(fl, Multivector.blade(fl.dimension, mask)).terms == {image: 1}
+            want[image] = want.get(image, 0) + 1
+        assert multiply_all(fl, build_factoring_superposition(fl)) == Multivector(fl.dimension, want)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_routes_agree_exhaustively(self, n):
         fl = FactoringLayout(n)
@@ -374,10 +397,13 @@ class TestPipeline:
     def test_single_multiplication_pass(self):
         assert factor_pipeline(12, 4)["multiply_passes"] == 1
 
-    @pytest.mark.parametrize("n,gates,plane_ops", [(4, 124, 64), (9, 774, 414)])
+    @pytest.mark.parametrize("n,gates,plane_ops", [(4, 124, 64), (9, 774, 1413)])
     def test_pass_counted_beside_its_classical_work(self, n, gates, plane_ops):
+        # At n = 9 four tiles run, each with two y bits folded in: 1,413
+        # big-int operations, where one unfolded run over 4^9 lanes took 414.
         fast, faithful = factor_pipeline(3, n, "fast"), factor_pipeline(3, min(n, 4), "faithful")
         assert (fast["gates"], fast["plane_ops"]) == (gates, plane_ops)
+        assert fast["tiles"] == 4 ** max(n - 8, 0)
         assert faithful["gates"] == 124 and "plane_ops" not in faithful
         assert faithful["table_lookups"] == 7 and "table_lookups" not in fast
 
@@ -460,8 +486,12 @@ class TestPlanePipeline:
     def test_cap_checked_before_allocation(self):
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceCapError, match=r"^width 13 exceeds the configured cap 12 \(4\^n-bit planes\)$"):
-                factor_pipeline(1, 13)
+            with pytest.raises(
+                ResourceCapError, match=rf"^fast route needs {4**15} lanes, cap is {MAX_LANES}$"
+            ):
+                factor_pipeline(1, 15)
+            with pytest.raises(ResourceCapError, match=r"^fast route needs 2\^128 or more lanes"):
+                factor_pipeline(1, 10**7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -470,16 +500,79 @@ class TestPlanePipeline:
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="a call owns its arguments from 3.11")
     def test_operand_planes_go_after_their_last_read(self):
         # 37 planes are live at most at n = 9 (test_circuit pins it).  Were
-        # the 18 operand planes held for the whole run, the peak would pass
-        # 49 planes of 4^9 bits.
+        # the 18 operand planes held for the whole one-lane-per-pair run,
+        # the peak would pass 49 planes of 4^9 bits.
         _multiplier_for(9)
         tracemalloc.start()
         try:
-            assert factor_pipeline(221, 9)["divisors"] == [1, 13, 17, 221]
+            assert one_run_divisors(FactoringLayout(9), [221]) == [[1, 13, 17, 221]]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 44 * (4**9 // 8)
+
+
+def one_run_divisors(fl: FactoringLayout, zs) -> list[list[int]]:
+    """Oracle for the tiled fast route: one plane run over all 4^n lanes.
+
+    The fast route before tiling.  Lane t is the pair x = t mod 2^n,
+    y = t >> n; the planes are passed unnamed, so the run drops each after
+    its last read.  Returns the ascending y of every hit, per target.
+    """
+    netlist = fl.multiplier_netlist()
+    lanes = 1 << 2 * fl.n
+    full = (1 << lanes) - 1
+    product = run_netlist_planes(netlist, _operand_planes(netlist, lanes), lanes)
+    found = []
+    for z in zs:
+        hits = full
+        for k, place in enumerate(netlist.output_groups[0]):
+            hits &= product[place] if z >> k & 1 else full ^ product[place]
+        ys = []
+        while hits:
+            low = hits & -hits
+            ys.append((low.bit_length() - 1) >> fl.n)
+            hits ^= low
+        found.append(ys)
+    return found
+
+
+class TestTiledRoute:
+    """The fast route in 2^16-lane tiles, two y bits folded, against one run over all lanes."""
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_every_target_equals_one_run(self, n):
+        fl = FactoringLayout(n)
+        zs = range(1, 1 << n)
+        for z, want in zip(zs, one_run_divisors(fl, zs)):
+            ys, tiles, _ = _plane_divisors(fl, z)
+            assert ys == want, (n, z)
+            assert tiles == 4 ** max(n - 8, 0)
+
+    @pytest.mark.parametrize("n,count", [(11, 12), (12, 4)])
+    def test_sampled_targets_equal_one_run(self, n, count):
+        fl = FactoringLayout(n)
+        rng = random.Random(n)
+        zs = [(1 << n) - 1, 1 << n - 1, *(rng.randrange(1, 1 << n) for _ in range(count))]
+        for z, want in zip(zs, one_run_divisors(fl, zs)):
+            assert _plane_divisors(fl, z)[0] == want, (n, z)
+
+    @pytest.mark.parametrize("z,n", [(8190, 13), (1, 13), (16380, 14)])
+    def test_widths_past_the_old_limit_match_trial_division(self, z, n):
+        got = factor_pipeline(z, n)
+        assert got["divisors"] == sorted(divisors(z))
+        assert (got["tiles"], got["terms_after"]) == (4**n >> 16, len(divisors(z)))
+
+    def test_one_target_at_n_12_in_bounded_memory(self):
+        # One run over all 4^12 lanes peaked at 107 MiB traced; a tile's
+        # planes are 8 KiB, with the compiled programs the larger part.
+        tracemalloc.start()
+        try:
+            assert factor_pipeline(4095, 12)["terms_after"] == 24
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestSharedNetlist:

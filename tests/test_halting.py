@@ -725,7 +725,7 @@ class TestChainBuild:
         assert count > MAX_TERMS
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceCapError, match=f"needs {count} terms"):
+            with pytest.raises(ResourceCapError, match=f"needs {count} words"):
                 build_chained_superposition(params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -752,7 +752,7 @@ class TestChainBuild:
         loop3 = CORPUS["loop3"]
         params = TruncationParams([loop3], MAX_TERMS // 4, 120)
         assert params.h == 129
-        with pytest.raises(ResourceCapError, match=f"needs {3 * MAX_TERMS // 2} terms"):
+        with pytest.raises(ResourceCapError, match=f"needs {3 * MAX_TERMS // 2} words"):
             build_chained_superposition(params, [(loop3.code, 0, loop3.start)])
 
     def test_wide_tape_refused_in_bounded_memory(self):
@@ -762,7 +762,7 @@ class TestChainBuild:
         tracemalloc.start()
         try:
             params = TruncationParams([loop3], 8, 10**8)
-            with pytest.raises(ResourceCapError, match="^chained superposition needs 25000016 terms"):
+            with pytest.raises(ResourceCapError, match="^chained superposition needs 25000016 words"):
                 build_chained_superposition(params, [(loop3.code, 0, loop3.start)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -774,7 +774,7 @@ class TestChainBuild:
         # either mode runs; its count must equal the build's at every width.
         counts = []
 
-        def refuse(count, what):
+        def refuse(count, what, unit):
             counts.append(count)
             raise ResourceCapError(what)
 
@@ -1152,7 +1152,7 @@ class TestBoundedProbe:
         # 10^9 cells: TruncationParams would form a 10^9-bit ``cells << cells``.
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceCapError, match="^probe chain needs 250000016 terms"):
+            with pytest.raises(ResourceCapError, match="^probe chain needs 250000016 words"):
                 bounded_halt_probe(CORPUS["loop3"], Config(0, 0, 10**9), 8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
