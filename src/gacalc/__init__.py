@@ -9,6 +9,7 @@ machine step chains.
 
 from .core import (
     DimensionMismatch,
+    EncodingRangeError,
     Multivector,
     ResourceCapError,
     blade_mul,
@@ -18,7 +19,6 @@ from .core import (
     to_records,
 )
 from .encoding import (
-    EncodingRangeError,
     SubspaceLayout,
     decode,
     decode_wide,

@@ -30,9 +30,9 @@ order over their gates.
 
 :func:`run_netlist_planes` runs many memories at once, bitsliced, one big
 int per place holding that place's bit in every lane.  It runs the plane
-program each netlist compiles once (:func:`_plane_program`): XORs fused,
-unread gates dropped, polarities tracked, so a NOT costs nothing, and
-inputs constant in every lane may be folded in.
+program the netlist compiles on its first such run (:func:`_plane_program`):
+XORs fused, unread gates dropped, polarities tracked, so a NOT costs
+nothing, and inputs constant in every lane may be folded in.
 """
 from __future__ import annotations
 
@@ -116,14 +116,14 @@ class Netlist:
 
     Each input (output) group is one operand: a tuple of places, least
     significant first.  Gates must write distinct, non-input places and may
-    only read inputs or earlier gate outputs.  A netlist is checked and
-    compiled once, when it is built, and cannot be changed afterwards: its
-    window of places ``lo .. lo + width - 1`` spans every input, gate and
-    output place, and its ``(p, q, r)`` program counts places from ``lo``.
-    The bitsliced run reads the plane program compiled from it at the same
-    point, or a program with constant inputs folded in, compiled on first
-    use and cached, at most ``FOLDED_PROGRAMS`` at once; the per-blade run
-    reads the block program, compiled from it on the first per-blade run.
+    only read inputs or earlier gate outputs.  A netlist is checked once,
+    when it is built, and cannot be changed afterwards: its window of places
+    ``lo .. lo + width - 1`` spans every input, gate and output place, and
+    its ``(p, q, r)`` program counts places from ``lo``.  Each engine
+    compiles that program on its first run: the bitsliced run one plane
+    program per set of folded inputs, the unfolded one being the empty
+    fold, cached at most ``FOLDED_PROGRAMS`` at once, oldest out; the
+    per-blade run one block program.
     """
 
     gates: tuple[NandGate, ...]
@@ -180,8 +180,10 @@ class Netlist:
         program = tuple((g.p - lo, g.q - lo, g.r - lo) for g in gates)
         object.__setattr__(self, "_program", program)
         object.__setattr__(self, "_ascending", all(a.r < b.r for a, b in zip(gates, gates[1:])))
-        object.__setattr__(self, "_folds", {})
-        object.__setattr__(self, "_planes", self._folded({}))
+
+    @cached_property
+    def _folds(self) -> dict:  # plane programs by folded inputs, oldest first
+        return {}
 
     def _folded(self, fixed: Mapping[int, int]):
         """The plane program with ``fixed``, ``{input place: 0 or 1}``, folded in."""
@@ -189,8 +191,8 @@ class Netlist:
         if key not in folds:
             if not fixed.keys() <= set(self.inputs) or not set(fixed.values()) <= {0, 1}:
                 raise ValueError(f"only input places fold, each to 0 or 1: {fixed}")
-            if len(folds) > FOLDED_PROGRAMS:  # the oldest fold goes; the unfolded program stays
-                del folds[next(filter(None, folds))]
+            if len(folds) == FOLDED_PROGRAMS:  # the oldest program goes
+                del folds[next(iter(folds))]
             inputs, outputs = [p - lo for p in self.inputs], [p - lo for p in self.outputs]
             fixed = {p - lo: bit for p, bit in fixed.items()}
             folds[key] = _plane_program(self._program, inputs, outputs, fixed)
@@ -206,13 +208,8 @@ class Netlist:
         """Table lookups of one per-blade run: its block count."""
         return len(self._blocks)
 
-    @property
-    def plane_ops(self) -> int:
-        """Big-int operations of one bitsliced run, complemented outputs included."""
-        return self.folded_plane_ops({})
-
-    def folded_plane_ops(self, fixed: Mapping[int, int]) -> int:
-        """Big-int operations of one run with the inputs ``fixed`` folded in."""
+    def plane_ops(self, fixed: Mapping[int, int] = {}) -> int:
+        """Big-int operations of one bitsliced run, ``fixed`` folded in, outputs' complements too."""
         steps, outs = self._folded(fixed)
         return sum(1 + (fn is _and_not) for fn, *_ in steps) + sum(o[2] for o in outs)
 
@@ -222,7 +219,7 @@ def _and_not(p: int, q: int) -> int:
     return p ^ p & q
 
 
-FOLDED_PROGRAMS = 4  # folded plane programs a netlist keeps: every pattern of two inputs
+FOLDED_PROGRAMS = 4  # plane programs a netlist keeps: every pattern of two folded inputs
 
 
 def _plane_program(program, inputs, outputs, fixed):

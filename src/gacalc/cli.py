@@ -144,6 +144,8 @@ def cmd_factor(args: argparse.Namespace) -> RunReport:
 
 def cmd_halt_probe(args: argparse.Namespace) -> RunReport:
     spec = halting.load_machine(args.machine)
+    if args.tape < 1:
+        raise UsageError("--tape must be at least 1")
     try:
         config = halting.parse_tape(args.input, args.tape, head=args.head)
     except ValueError as exc:

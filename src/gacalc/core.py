@@ -33,6 +33,10 @@ class DimensionMismatch(ValueError):
     """Operands belong to algebras of different dimension."""
 
 
+class EncodingRangeError(ValueError):
+    """A value does not fit the bit field that codes it."""
+
+
 class ResourceCapError(RuntimeError):
     """A count is over its cap: terms or chain words over ``MAX_TERMS``, or fast-route lanes."""
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-class EncodingRangeError(ValueError):
-    """Value does not fit the target subspace width."""
+from .core import EncodingRangeError
 
 
 @dataclass(frozen=True)

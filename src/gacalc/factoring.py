@@ -23,10 +23,10 @@ and each instruction of the compiled plane program acts on a tile of 2^16
 lanes (:func:`gacalc.circuit.run_netlist_planes`).  Lane bits below 16
 carry operand planes shared by every tile; each higher one is a y bit
 constant in a tile, the top two folded into the program, the rest fed as
-zero or all-ones planes.  The projection onto product = Z is an AND of the
-product planes, so the 4^n-term state is never built.  Memory is bounded
-by the tile at any width; time grows with the 4^n lanes, held to the lane
-budget ``MAX_LANES``.
+zero or all-ones planes; all of it is planned once per width.  The
+projection onto product = Z is an AND of the product planes, so the
+4^n-term state is never built.  Memory is bounded by the tile at any
+width; time grows with the 4^n lanes, held to the lane budget ``MAX_LANES``.
 """
 from __future__ import annotations
 
@@ -35,17 +35,17 @@ from operator import itemgetter
 from typing import Iterable
 
 from .circuit import (
+    FOLDED_PROGRAMS,
     MemoryBlade,
     Netlist,
     build_nand_multiplier,
     run_netlist,
     run_netlist_planes,
 )
-from .core import Multivector, check_terms
-from .encoding import EncodingRangeError
+from .core import EncodingRangeError, Multivector, check_terms
 
 TILE_BITS = 16  # a fast-route tile spans 2^16 lanes: 8 KiB planes
-FOLD_BITS = 2  # constant y bits folded into the plane program: 4 programs per width
+FOLD_BITS = FOLDED_PROGRAMS.bit_length() - 1  # constant y bits folded: every program kept
 MAX_LANES = 4**14  # the fast route's budget: n = 14 runs in about 2 s, n = 15 would take 8
 
 ROUTES = ("faithful", "fast")
@@ -168,10 +168,9 @@ def _plane_divisors(fl: FactoringLayout, z: int) -> tuple[list[int], int, int]:
     lanes from i·2^16, so its lane bits from 16 up are the bits of i.
     """
     netlist = fl.multiplier_netlist()
-    width, fed, folds, ops = _tiling(fl.n)
+    width, low, fed, folds, ops = _tiling(fl.n)
     lanes = 1 << width
     full = (1 << lanes) - 1
-    low = _operand_planes(netlist, lanes)
     products = netlist.output_groups[0]
     ys = []
     tiles = len(folds) << len(fed)
@@ -189,16 +188,17 @@ def _plane_divisors(fl: FactoringLayout, z: int) -> tuple[list[int], int, int]:
 
 
 @lru_cache(maxsize=None)
-def _tiling(n: int) -> tuple[int, tuple[int, ...], tuple[dict[int, int], ...], int]:
-    """Lane bits per tile; the y places above them fed as planes, the tile
-    index's low bits; the folds of the rest, by the index's high bits; and
-    the big-int operations of all tiles."""
+def _tiling(n: int):
+    """The fast route's plan for width n: lane bits per tile and their operand
+    planes; the y places above them fed as planes, the tile index's low bits;
+    the folds of the rest, by its high bits; the big-int operations of all tiles."""
     netlist = _multiplier_for(n)
     width = min(2 * n, TILE_BITS)
     high = tuple(netlist.inputs[width:])
     fed, folded = high[: len(high) - FOLD_BITS], high[len(high) - FOLD_BITS :]
     folds = tuple({p: i >> k & 1 for k, p in enumerate(folded)} for i in range(1 << len(folded)))
-    return width, fed, folds, sum(map(netlist.folded_plane_ops, folds)) << len(fed)
+    ops = sum(map(netlist.plane_ops, folds)) << len(fed)
+    return width, _operand_planes(netlist, 1 << width), fed, folds, ops
 
 
 def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
@@ -227,13 +227,14 @@ def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
         ys, tiles, plane_ops = _plane_divisors(fl, z)
         # For z >= 1 each divisor y has one x, so no two lanes share a term.
         projected = Multivector._wrap(fl.dimension, {z | y << 2 * n: 1 for y in ys})
+        work = {"tiles": tiles, "plane_ops": plane_ops}
     else:
         state = build_factoring_superposition(fl)
         terms_before = len(state)
         multiplied = multiply_all(fl, state)
         projected = project_product(fl, multiplied, z)
-    netlist = fl.multiplier_netlist()
-    stats = {
+        work = {"table_lookups": fl.multiplier_netlist().table_lookups}
+    return {
         "z": z,
         "n": n,
         "route": route,
@@ -241,11 +242,7 @@ def factor_pipeline(z: int, n: int, route: str = "fast") -> dict:
         "terms_before": terms_before,
         "terms_after": len(projected),
         "multiply_passes": 1,
-        "gates": len(netlist.gates),
+        "gates": len(fl.multiplier_netlist().gates),
         "state": projected,
+        **work,
     }
-    if route == "fast":
-        stats["tiles"], stats["plane_ops"] = tiles, plane_ops
-    else:
-        stats["table_lookups"] = netlist.table_lookups
-    return stats

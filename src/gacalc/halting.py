@@ -64,8 +64,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .core import Multivector, blade_mul, check_terms
-from .encoding import EncodingRangeError
+from .core import EncodingRangeError, Multivector, blade_mul, check_terms
 
 MOVES = ("L", "R")
 
@@ -722,6 +721,8 @@ def bundled_machines() -> list[TMSpec]:
 
 def parse_tape(bits: str, cells: int, head: int = 0) -> Config:
     """Build a configuration from a left-to-right cell string like "0010"."""
+    if cells < 1:
+        raise ValueError("tape must have at least one cell")
     if len(bits) > cells:
         raise ValueError(f"tape string longer than {cells} cells")
     tape = 0

@@ -34,8 +34,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Collection, Iterable
 
-from .core import Coefficient, Multivector, check_terms
-from .encoding import EncodingRangeError
+from .core import Coefficient, EncodingRangeError, Multivector, check_terms
 
 
 class MembershipOracle:

@@ -499,8 +499,8 @@ class TestPlaneProgram:
         ],
     )
     def test_rewrites(self, nl, ops, plane_ops):
-        assert [fn.__name__ for fn, *_ in nl._planes[0]] == ops
-        assert nl.plane_ops == plane_ops
+        assert [fn.__name__ for fn, *_ in nl._folded({})[0]] == ops
+        assert nl.plane_ops() == plane_ops
         out = check_plane_run(nl)
         if nl.outputs == [1, 2, 3]:
             assert out[3] == 0
@@ -524,27 +524,39 @@ class TestPlaneProgram:
         # Live planes under the compiled run's freeing: every input from the
         # start, an instruction's target from its instruction on, until the
         # instruction that frees it.  At most the gate-by-gate run's peak.
-        nl = _multiplier_for(n)
-        steps, _ = nl._planes
+        nl = _multiplier_for.__wrapped__(n)  # a fresh netlist: the cached one keeps its folds
+        steps, _ = nl._folded({})
         live = {place - nl._lo for place in nl.inputs}
         most = len(live)
         for _, _, _, r, frees in steps:
             live.add(r)
             most = max(most, len(live))
             live.difference_update(frees)
-        assert (len(nl.gates), len(steps), nl.plane_ops) == (gates, instructions, plane_ops)
+        assert (len(nl.gates), len(steps), nl.plane_ops()) == (gates, instructions, plane_ops)
         assert most <= peak
 
-    def test_compiled_when_built_never_per_run(self, monkeypatch):
+    def test_building_compiles_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a program compiled when the netlist was built")
+
+        monkeypatch.setattr(circuit, "_plane_program", refuse)
+        monkeypatch.setattr(circuit, "_block_program", refuse)
+        for nl in (parse_netlist((NETLISTS / "mult3.nand").read_text()), build_nand_multiplier(12)):
+            assert not {"_folds", "_blocks"} & nl.__dict__.keys()
+
+    def test_compiled_on_first_run_never_per_run(self, monkeypatch):
         nl = build_nand_multiplier(3)
         planes, lanes = exhaustive_planes(nl)
         expected = plane_loop_run(nl, planes, lanes)
-
-        def refuse(*args):
-            raise AssertionError("plane program compiled during a run")
-
-        monkeypatch.setattr(circuit, "_plane_program", refuse)
-        assert run_netlist_planes(nl, planes, lanes) == expected
+        calls = []
+        compile_ = circuit._plane_program
+        monkeypatch.setattr(
+            circuit, "_plane_program", lambda *args: calls.append(args[3]) or compile_(*args)
+        )
+        assert "_folds" not in nl.__dict__
+        for _ in range(3):
+            assert run_netlist_planes(nl, planes, lanes) == expected
+        assert calls == [{}]
 
 
 @st.composite
@@ -590,13 +602,13 @@ class TestFoldedPlaneProgram:
         for place, bit in outputs.items():
             if bit is not None:
                 assert out[place] == full * bit, place
-        assert nl.folded_plane_ops(fixed) == ops
+        assert nl.plane_ops(fixed) == ops
 
     def test_multiplier_folds_drop_work(self):
         # Folding the top y bit to 0 drops the last partial-product row and its adder.
-        nl = _multiplier_for(9)
+        nl = _multiplier_for.__wrapped__(9)
         top = nl.inputs[-1]
-        assert nl.folded_plane_ops({top: 0}) < nl.folded_plane_ops({top: 1}) < nl.plane_ops
+        assert nl.plane_ops({top: 0}) < nl.plane_ops({top: 1}) < nl.plane_ops()
         check = _multiplier_for(3)
         for bits in range(4):
             check_folded_run(check, {check.inputs[-1]: bits & 1, check.inputs[-2]: bits >> 1})
@@ -609,16 +621,19 @@ class TestFoldedPlaneProgram:
             circuit, "_plane_program", lambda *args: calls.append(args[3]) or compile_(*args)
         )
         planes, lanes = exhaustive_planes(nl)
-        folds = [{p: bit} for p in nl.inputs[:3] for bit in (0, 1)]
+        # The unfolded program is the empty fold, cached and evicted like the others.
+        folds = [{}, *({p: bit} for p in nl.inputs[:3] for bit in (0, 1))]
         for fixed in folds:
             run_netlist_planes(nl, planes, lanes, fixed)
         assert calls == folds
-        for fixed in folds[-circuit.FOLDED_PROGRAMS :]:  # the last four are kept
+        kept = folds[-circuit.FOLDED_PROGRAMS :]  # the last four, oldest first
+        assert list(nl._folds) == [tuple(fixed.items()) for fixed in kept]
+        for fixed in kept:
             run_netlist_planes(nl, planes, lanes, fixed)
-        run_netlist_planes(nl, planes, lanes, {})  # compiled when built
         assert calls == folds
-        run_netlist_planes(nl, planes, lanes, folds[0])
-        assert calls == folds + folds[:1]
+        run_netlist_planes(nl, planes, lanes, {})  # evicted first: compiled again
+        assert calls == folds + [{}]
+        assert list(nl._folds) == [tuple(fixed.items()) for fixed in kept[1:] + [{}]]
 
     @pytest.mark.parametrize("fixed", [{9: 1}, {0: 2}], ids=["not-an-input", "not-a-bit"])
     def test_only_input_bits_fold(self, fixed):

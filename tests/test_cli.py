@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gacalc.circuit
 import gacalc.core
 from gacalc.circuit import NetlistValidationError, load_memory, parse_netlist
 from gacalc.cli import UsageError, _parse_int_set, main
@@ -566,6 +567,13 @@ class TestHaltProbeArgv:
         if code == 0 and "--mode=both" in argv:
             assert json.loads(out)["result"]["agreement"] is True
 
+    @pytest.mark.parametrize("tape", [0, -2])
+    def test_tape_below_one_is_refused_by_name(self, tape):
+        argv = ["halt-probe", f"--machine={MACHINES / 'loop3.json'}", "--steps=3", f"--tape={tape}"]
+        code, out, err, _ = traced_main(argv)
+        assert (code, out) == (2, "")
+        assert err == "usage error: --tape must be at least 1\n"
+
     @pytest.mark.parametrize("mode", ["both", "ga", "direct"])
     def test_huge_step_count_is_refused(self, mode):
         # loop3 never halts, so a walk or a direct run of 10^30 steps would
@@ -611,7 +619,11 @@ class TestCircuit:
         assert code == 0
         assert report["result"]["outputs"] == [0]
 
-    def test_bundled_multiplier(self, capsys):
+    def test_bundled_multiplier(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("plane program compiled by the circuit subcommand")
+
+        monkeypatch.setattr(gacalc.circuit, "_plane_program", refuse)
         code, report, _ = run_json(
             capsys, "circuit", "--netlist", str(NETLISTS / "mult3.nand"), "--inputs", "5,7"
         )

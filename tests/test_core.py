@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gacalc
+from gacalc import core, encoding
 from gacalc.cli import build_parser
 from gacalc.core import (
     MAX_TERMS,
@@ -662,9 +664,9 @@ def test_one_term_cap_mechanism():
 
 
 def test_one_compiled_netlist_program():
-    # A netlist is checked and compiled when it is built: its program, target
-    # mask, place window and ascending flag are read only inside circuit, and
-    # nothing validates again.
+    # A netlist is checked when it is built, which fixes its program, target
+    # mask, place window and ascending flag: they are read only inside
+    # circuit, and nothing validates again.
     for attr in ("_program", "_targets", "_lo", "_width", "_ascending"):
         reads = _functions_where(
             lambda node: isinstance(node, ast.Attribute) and node.attr == attr
@@ -675,16 +677,15 @@ def test_one_compiled_netlist_program():
 
 
 def test_pipelines_code_fields_in_closed_form():
-    # Each pipeline's fields are fixed shifts of its widths: none builds a
-    # SubspaceLayout or calls the coding functions, only the error type is shared.
+    # Each pipeline's fields are fixed shifts of its widths: none imports
+    # encoding, and the one error type they share with it lives in core.
     for stem in ("factoring", "search", "halting"):
-        names = set()
         for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("encoding"):
-                names |= {alias.name for alias in node.names}
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom):
+                assert not (node.module or "").endswith("encoding"), stem
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
                 assert not any(alias.name.endswith("encoding") for alias in node.names), stem
-        assert names == {"EncodingRangeError"}, stem
+    assert gacalc.EncodingRangeError is encoding.EncodingRangeError is core.EncodingRangeError
 
 
 def test_no_cap_options_on_the_cli():

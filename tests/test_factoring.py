@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gacalc import circuit, factoring
 from gacalc.circuit import (
     MemoryBlade,
     read_outputs,
@@ -573,6 +574,46 @@ class TestTiledRoute:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+
+class TestPerWidthPlan:
+    """Each width's netlist and fast-route plan are built on first use, then only read."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        # Fresh caches, so what is built and held does not depend on earlier tests.
+        for name in ("_multiplier_for", "_tiling"):
+            cached = lru_cache(maxsize=None)(getattr(factoring, name).__wrapped__)
+            monkeypatch.setattr(factoring, name, cached)
+
+    def test_fast_calls_hold_one_program_per_fold(self, fresh):
+        for _ in range(3):
+            for z, n, programs in ((221, 9, 4), (21, 5, 1)):
+                assert factor_pipeline(z, n)["divisors"] == sorted(divisors(z))
+                folds = factoring._tiling(n)[3]
+                assert len(folds) == programs
+                held = factoring._multiplier_for(n)._folds
+                assert list(held) == [tuple(sorted(fixed.items())) for fixed in folds]
+
+    def test_operand_planes_built_once_per_width(self, fresh, monkeypatch):
+        calls = []
+        build = factoring._operand_planes
+        monkeypatch.setattr(
+            factoring, "_operand_planes", lambda nl, lanes: calls.append(lanes) or build(nl, lanes)
+        )
+        for _ in range(3):
+            for z, n in ((221, 9), (21, 5), (3, 2)):
+                assert factor_pipeline(z, n)["divisors"] == sorted(divisors(z))
+        assert calls == [1 << 16, 1 << 10, 1 << 4]
+
+    def test_faithful_route_compiles_no_plane_program(self, fresh, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("plane program compiled on the faithful route")
+
+        monkeypatch.setattr(circuit, "_plane_program", refuse)
+        got = factor_pipeline(21, 5, "faithful")
+        assert (got["divisors"], got["table_lookups"]) == ([1, 3, 7, 21], 13)
+        assert "_folds" not in factoring._multiplier_for(5).__dict__
 
 
 class TestSharedNetlist:

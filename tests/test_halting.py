@@ -282,6 +282,9 @@ class TestConfigCoding:
             parse_tape("012", 6)
         with pytest.raises(ValueError):
             parse_tape("0000000", 6)
+        for cells in (0, -2):
+            with pytest.raises(ValueError, match="^tape must have at least one cell$"):
+                parse_tape("", cells)
 
     @settings(max_examples=300)
     @given(
