@@ -12,8 +12,9 @@ place of the netlist's window, the span of its input, gate and output places,
 and takes the sign once per run.  The gates run as the block program each
 netlist compiles on its first per-blade run (:func:`_block_program`): runs of
 gates on consecutive targets that read at most ``LUT_INPUTS`` places from
-outside, one table lookup per block.  A run that writes r_1, ..., r_K (in gate
-order) onto the start blade M0 ends at e_{r_K} ... e_{r_1} M0.  Place r_k is
+outside, one table lookup per block, each table row filled the first time a
+run needs it.  A run that writes r_1, ..., r_K (in gate order) onto the
+start blade M0 ends at e_{r_K} ... e_{r_1} M0.  Place r_k is
 empty until its write, so no factor contracts, and moving e_{r_k} into
 canonical position passes exactly the set bits below r_k: those of M0 and the
 earlier writes.  Summed over the writes the first counts give the parity of
@@ -39,7 +40,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from operator import and_, itemgetter, or_, xor
 from typing import AbstractSet, Callable, Iterable, Mapping
 
@@ -123,7 +123,7 @@ class Netlist:
     compiles that program on its first run: the bitsliced run one plane
     program per set of folded inputs, the unfolded one being the empty
     fold, cached at most ``FOLDED_PROGRAMS`` at once, oldest out; the
-    per-blade run one block program.
+    per-blade run one block program, whose tables fill as runs need rows.
     """
 
     gates: tuple[NandGate, ...]
@@ -201,7 +201,7 @@ class Netlist:
     @cached_property
     def _blocks(self):
         """The block program of the per-blade run, compiled on its first run."""
-        return _block_program(self._program)
+        return _block_program(self._program, self._width)
 
     @property
     def table_lookups(self) -> int:
@@ -294,49 +294,36 @@ def _plane_program(program, inputs, outputs, fixed):
 _CELLS = bytes.maketrans(b"01", b"\0\1")  # binary digits -> place cells
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
-LUT_INPUTS = 6  # places a block reads from outside: at most 2^6 table rows
+LUT_INPUTS = 9  # places a block reads from outside: at most 2^9 rows, each filled on demand
 
 
-def _block_program(program):
+def _block_program(program, width):
     """Cover a ``(p, q, r)`` program with lookup-table blocks, once per netlist.
 
     A block is a run of consecutive gates whose targets are consecutive places
     and which read at most ``LUT_INPUTS`` places from outside the run; the
     first gate that breaks either rule starts the next block.  A gate reads
     only inputs and earlier targets, and no target is set at the start, so a
-    block's targets are a function of the cells it reads from outside.  Its
-    table maps each combination of those cells to the target bytes; it is
-    built by running the block's gates once on 2^k-lane ints, lane t holding
-    the combination that lists t's bits most significant first.  Returns
-    ``(itemgetter(*inputs), table, a, b)`` per block, targets ``a:b``.
+    block's targets are a function of the cells it reads from outside: its
+    key.  Each table starts empty and gains a row, the target bytes, the
+    first time a run meets its key.  Place x is cell ``width - 1 - x``, most
+    significant place first, so a block's targets are the cells ``a:b``.
+    Returns ``(itemgetter(*inputs), gates, table, a, b)`` per block, its
+    gates as ``(p, q, r)`` cells.
     """
-    runs = []  # [inputs, first target, last target]
+    top, runs = width - 1, []  # [inputs, gates], in cells
     for p, q, r in program:
+        gate = p, q, r = top - p, top - q, top - r
         if runs:
-            inputs, a, last = runs[-1]
-            wider = inputs | {x for x in (p, q) if not a <= x <= last}
-            if r == last + 1 and len(wider) <= LUT_INPUTS:
-                runs[-1][0], runs[-1][2] = wider, r
+            inputs, gates = runs[-1]
+            a, b = gates[-1][2], gates[0][2] + 1  # the run's target cells
+            wider = inputs | {x for x in (p, q) if not a <= x < b}
+            if r == a - 1 and len(wider) <= LUT_INPUTS:
+                runs[-1][0] = wider
+                gates.append(gate)
                 continue
-        runs.append([{p, q}, r, r])
-    writer = {r: (p, q) for p, q, r in program}
-    blocks = []
-    for inputs, a, last in runs:
-        inputs, k, m = sorted(inputs), len(inputs), last + 1 - a
-        lanes = 1 << k
-        full = (1 << lanes) - 1
-        # Bit j of the lane index t as a plane: 2^j zeros then 2^j ones, repeated.
-        wires = {x: full // ((1 << (1 << j)) + 1) << (1 << j) for j, x in enumerate(inputs[::-1])}
-        rows = bytearray(lanes * m)
-        for r in range(a, last + 1):
-            p, q = writer[r]
-            wires[r] = full ^ wires[p] & wires[q]
-            rows[r - a :: m] = format(wires[r], f"0{lanes}b").encode()[::-1]
-        rows = rows.translate(_CELLS)
-        keys = product((0, 1), repeat=k) if k > 1 else (0, 1)
-        table = {key: bytes(rows[t * m : t * m + m]) for t, key in enumerate(keys)}
-        blocks.append((itemgetter(*inputs), table, a, last + 1))
-    return tuple(blocks)
+        runs.append([{p, q}, [gate]])
+    return tuple((itemgetter(*sorted(i)), tuple(g), {}, g[-1][2], g[0][2] + 1) for i, g in runs)
 
 
 def _refuse_occupied_targets(netlist: Netlist, occupied: int, where: str) -> None:
@@ -351,10 +338,12 @@ def run_netlist(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
     """Apply every gate in order; the final bit pattern is the circuit value.
 
     Equal to folding :func:`nand_apply` over the gates, sign included.  The
-    window's bits are loaded into one cell per place, each block of the
-    netlist's block program writes its targets' cells from one table lookup
-    on the cells it reads, and W, the cells read back on the gate targets,
-    is the OR of the writes, since no target is set at the start.
+    window's bits are loaded into one cell per place, most significant place
+    first, and each block of the netlist's block program writes its targets'
+    cells from one table lookup on the cells it reads; on a miss the block's
+    gates run on the cells and their target bytes become the row.  W, the
+    cells read back on the gate targets, is the OR of the writes, since no
+    target is set at the start.
     The sign is taken once, ``reorder_sign(W, M0) * (-1)^P`` with
     P = C(c, 2) - inversions (module docstring); the inversions are counted
     in one pass over the targets, and only when they do not ascend.
@@ -365,10 +354,17 @@ def run_netlist(netlist: Netlist, memory: MemoryBlade) -> MemoryBlade:
         _refuse_occupied_targets(netlist, start, "memory")
     lo, width, program = netlist._lo, netlist._width, netlist._program
     window = start >> lo & (1 << width) - 1
-    cells = bytearray(format(window, f"0{width}b")[::-1], "ascii").translate(_CELLS)
-    for get, table, a, b in netlist._blocks:
-        cells[a:b] = table[get(cells)]
-    written = int(cells.translate(_DIGITS)[::-1], 2) << lo & targets
+    cells = bytearray(format(window, f"0{width}b"), "ascii").translate(_CELLS)
+    for get, gates, table, a, b in netlist._blocks:
+        key = get(cells)
+        row = table.get(key)
+        if row is None:
+            for p, q, r in gates:
+                cells[r] = 1 ^ cells[p] & cells[q]
+            table[key] = bytes(cells[a:b])
+        else:
+            cells[a:b] = row
+    written = int(cells.translate(_DIGITS), 2) << lo & targets
     count = written.bit_count()
     parity = count * (count - 1) >> 1
     if not netlist._ascending:

@@ -12,8 +12,8 @@ itself.  Projecting onto ``mask & (2^2n - 1) == Z`` and reading
 lifted in the layout's own algebra, so it is linear on signed states too.
 It runs the NAND multiplier netlist on each blade and reads its product
 places; each run is one lookup per block of the netlist's block program
-(:func:`gacalc.circuit.run_netlist`): 13 table lookups for the 210 gates
-at n = 5.
+(:func:`gacalc.circuit.run_netlist`): 3 table lookups for the 210 gates
+at n = 5, each row filled by the first blade that needs it.
 
 ``factor_pipeline`` runs the full superposition.  Its faithful route builds
 the 4^n-term state, held to ``core.MAX_TERMS`` terms (n <= 10), and
@@ -114,7 +114,8 @@ def multiply_all(fl: FactoringLayout, state: Multivector) -> Multivector:
     """One lifted, linear pass of the NAND multiplier, sign +1 on every blade.
 
     Blade ``x | y << n | y << 2n`` becomes ``x*y | y << 2n``.  The product is
-    read off the netlist run on that blade; only its bits are read, since
+    read off the netlist run on that blade, 3 table lookups at n = 5, the
+    rows shared by every blade and pass; only its bits are read, since
     the gate writes' sign has no bit content: character -1 - p of one
     ``format`` is place p's bit, with a bit set above them all.
     """

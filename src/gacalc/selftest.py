@@ -263,18 +263,18 @@ def _check_ga_circuit() -> list[PropertyResult]:
 
     # Both cases of the sign count: mult3.nand's targets ascend, and these
     # half-adder targets 6, 5, 4, 3, 2 descend.  mult3.nand is one lookup
-    # table; mult4 is 7 blocks of several gates, run on seeded operand pairs.
+    # table; mult5 is 3 blocks of many gates, run on seeded operand pairs.
     bundled = Path(circuit.__file__).parent / "netlists" / "mult3.nand"
     gates = [(0, 1, 6), (0, 6, 5), (1, 6, 4), (5, 4, 3), (6, 6, 2)]
     descending = circuit.Netlist(
         [circuit.NandGate(*g) for g in gates], [[0], [1]], [[3, 2]]
     )
-    mult4 = circuit.build_nand_multiplier(4)
+    mult5 = circuit.build_nand_multiplier(5)
     ok = True
-    for netlist in (circuit.parse_netlist(bundled.read_text(encoding="utf-8")), descending, mult4):
+    for netlist in (circuit.parse_netlist(bundled.read_text(encoding="utf-8")), descending, mult5):
         a_width, b_width = map(len, netlist.input_groups)
-        for a in range(1 << a_width) if netlist is not mult4 else rng.sample(range(16), 2):
-            for b in range(1 << b_width) if netlist is not mult4 else rng.sample(range(16), 2):
+        for a in range(1 << a_width) if netlist is not mult5 else rng.sample(range(32), 2):
+            for b in range(1 << b_width) if netlist is not mult5 else rng.sample(range(32), 2):
                 for sign in (1, -1):
                     mem = circuit.MemoryBlade(circuit.load_memory(netlist, [a, b]).mask, sign)
                     want = mem

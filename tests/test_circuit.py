@@ -647,27 +647,29 @@ class TestFoldedPlaneProgram:
 def block_runs(draw):
     """A valid netlist and a start memory that reach every path of the block cover.
 
-    Up to 9 inputs, so a run of gates on consecutive targets can read more
-    than ``LUT_INPUTS`` places from outside; targets either climb one place
-    at a time with optional gaps or come in any order (descending and
-    scattered, so singleton blocks); ``p == q`` gates; outputs that are
+    Up to 12 inputs, so a run of gates on consecutive targets can read more
+    than ``LUT_INPUTS`` places from outside, the more so when every gate
+    reads only inputs; targets either climb one place at a time, with or
+    without gaps, or come in any order (descending and scattered, so
+    singleton blocks); ``p == q`` gates; outputs that are
     inputs, written places or places no gate writes.  The start holds any
     input bits, bits on either side of the window and on unwritten places
     inside it, and either sign.
     """
     lo = draw(st.integers(0, 3))
-    inputs = list(range(lo, lo + draw(st.integers(1, 9))))
+    inputs = list(range(lo, lo + draw(st.integers(1, 12))))
     count = draw(st.integers(0, 16))
-    targets, place = [], inputs[-1]
+    targets, place, gaps = [], inputs[-1], draw(st.sampled_from([[0], [0, 0, 0, 1]]))
     for _ in range(count):
-        place += 1 + draw(st.sampled_from([0, 0, 0, 1]))
+        place += 1 + draw(st.sampled_from(gaps))
         targets.append(place)
     if draw(st.booleans()):
         targets = draw(st.permutations(targets))
-    known, gates = list(inputs), []
+    known, gates, wide = list(inputs), [], draw(st.booleans())
     for r in targets:
-        p = draw(st.sampled_from(known))
-        q = p if draw(st.integers(0, 4)) == 0 else draw(st.sampled_from(known))
+        reads = inputs if wide else known
+        p = draw(st.sampled_from(reads))
+        q = p if draw(st.integers(0, 4)) == 0 else draw(st.sampled_from(reads))
         gates.append(NandGate(p, q, r))
         known.append(r)
     unwritten = place + 1
@@ -680,69 +682,126 @@ def block_runs(draw):
 
 
 def check_blocks(nl: Netlist) -> None:
-    """Blocks cover the gate targets in gate order, at most 2^6 rows per table."""
+    """Blocks cover the gate targets in gate order, at most 2^9 rows per table,
+    and every stored row is what the block's gates write from its key."""
+    top = nl._width - 1
     blocks = nl._blocks
-    assert [r for _, _, a, b in blocks for r in range(a, b)] == [r for _, _, r in nl._program]
-    for _, table, a, b in blocks:
-        assert len(table) <= 1 << circuit.LUT_INPUTS == 64
-        assert {len(row) for row in table.values()} == {b - a}
+    assert [r for _, gates, *_ in blocks for _, _, r in gates] == [top - r for _, _, r in nl._program]
+    for get, gates, table, a, b in blocks:
+        assert sorted(r for _, _, r in gates) == list(range(a, b))
+        inputs = sorted({x for p, q, _ in gates for x in (p, q)} - set(range(a, b)))
+        assert len(inputs) <= circuit.LUT_INPUTS == 9
+        assert len(table) <= 1 << circuit.LUT_INPUTS
+        for key, row in table.items():
+            bits = dict(zip(inputs, key if len(inputs) > 1 else (key,)))
+            cells = bytearray(nl._width)
+            for x, bit in bits.items():
+                cells[x] = bit
+            assert get(cells) == key
+            for p, q, r in gates:
+                bits[r] = int(not (bits[p] and bits[q]))
+            assert row == bytes(bits[r] for r in range(a, b))
+
+
+def run_twice(nl: Netlist, memory: MemoryBlade) -> None:
+    """A run that fills its rows, then one that finds them, both equal to the oracles."""
+
+    def rows():
+        return sum(len(table) for _, _, table, _, _ in nl._blocks)
+
+    before = rows()
+    out = assert_matches_oracles(nl, memory)
+    filled = rows()
+    assert before <= filled <= before + len(nl._blocks)
+    assert assert_matches_oracles(nl, memory) == out
+    assert rows() == filled
 
 
 class TestBlockProgram:
-    """The per-blade run's table lookups equal the gate-by-gate fold."""
+    """The per-blade run's table lookups, each row filled on first use, equal
+    the gate-by-gate fold."""
 
     @given(block_runs())
     @settings(max_examples=400, deadline=None)
     def test_random_netlists_match_the_gate_fold(self, run):
         nl, mem = run
-        assert_matches_oracles(nl, mem)
+        run_twice(nl, mem)
         check_blocks(nl)
 
     @pytest.mark.parametrize(
         "make,blocks",
         [
             (lambda: parse_netlist((NETLISTS / "mult3.nand").read_text()), 1),
-            (lambda: build_nand_multiplier(5), 13),
-            (lambda: _multiplier_for(5), 13),
-            (lambda: build_nand_multiplier(9), 50),
+            (lambda: build_nand_multiplier(5), 3),
+            (lambda: _multiplier_for(5), 3),
+            (lambda: build_nand_multiplier(9), 30),
         ],
         ids=["mult3.nand", "mult5", "factoring-5", "mult9"],
     )
     def test_block_counts(self, make, blocks):
         nl = make()
         assert nl.table_lookups == len(nl._blocks) == blocks
+        for a, b in ((3, 5), (6, 7), (3, 5)):
+            mem = load_memory(nl, [a, b])
+            run_twice(nl, mem)
+            assert read_outputs(nl, run_netlist(nl, mem)) == [a * b]
         check_blocks(nl)
 
     def test_fan_in_beyond_the_table_width_ends_a_block(self):
-        # Targets 8..14 are consecutive; gate k reads input k + 1 beside the
-        # previous target, so the run reads 7 inputs from outside by target 13.
-        gates = [NandGate(0, 1, 8)] + [NandGate(k + 1, 7 + k, 8 + k) for k in range(1, 7)]
-        nl = Netlist(gates, [list(range(8))], [[14]])
-        assert [(a, b, len(table)) for _, table, a, b in nl._blocks] == [(8, 13, 64), (13, 15, 8)]
-        for x in range(256):
+        # Targets 11..20 are consecutive; gate k reads input k + 1 beside the
+        # previous target, so the run reads 10 inputs from outside by target 19.
+        gates = [NandGate(0, 1, 11)] + [NandGate(k + 1, 10 + k, 11 + k) for k in range(1, 10)]
+        nl = Netlist(gates, [list(range(11))], [[20]])
+        top = nl._width - 1
+        assert [(top + 1 - b, top + 1 - a) for *_, a, b in nl._blocks] == [(11, 19), (19, 21)]
+        for x in range(1 << 11):
             for sign in (1, -1):
                 assert_matches_oracles(nl, MemoryBlade(x, sign))
+        assert [len(table) for _, _, table, _, _ in nl._blocks] == [512, 8]
+        check_blocks(nl)
 
     def test_descending_targets_are_singleton_blocks(self):
         nl = Netlist([NandGate(0, 0, r) for r in (5, 4, 3)], [[0]], [[3, 4, 5]])
-        assert [(a, b, table) for _, table, a, b in nl._blocks] == [
-            (r, r + 1, {0: b"\1", 1: b"\0"}) for r in (5, 4, 3)
+        assert [(gates, table, a, b) for _, gates, table, a, b in nl._blocks] == [
+            (((5, 5, c),), {}, c, c + 1) for c in (0, 1, 2)
         ]
+        for bit in (0, 1):
+            run_netlist(nl, MemoryBlade(bit))
+        assert [table for _, _, table, _, _ in nl._blocks] == [{0: b"\1", 1: b"\0"}] * 3
 
     def test_compiled_once_on_the_first_per_blade_run(self, monkeypatch):
         calls = []
         compile_blocks = circuit._block_program
         monkeypatch.setattr(
-            circuit, "_block_program", lambda program: calls.append(program) or compile_blocks(program)
+            circuit,
+            "_block_program",
+            lambda program, width: calls.append((program, width)) or compile_blocks(program, width),
         )
         nl = build_nand_multiplier(3)
         assert calls == []
         for a, b in ((3, 5), (7, 6)):
             assert read_outputs(nl, run_netlist(nl, load_memory(nl, [a, b]))) == [a * b]
-        assert calls == [nl._program]
+        assert calls == [(nl._program, nl._width)]
+
+    def test_one_blade_holds_one_row_per_block(self):
+        # Gate i reads inputs 2i and 2i + 1 (mod 3,000): four gates a block.
+        inputs = range(3000)
+        gates = [NandGate(2 * i % 3000, (2 * i + 1) % 3000, 3000 + i) for i in range(6000)]
+        nl = Netlist(gates, [inputs], [[8999]])
+        memory = MemoryBlade(random.Random(15).getrandbits(3000))
+        tracemalloc.start()
+        try:
+            out = run_netlist(nl, memory)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out == int_loop_run(nl, memory)
+        assert len(nl._blocks) == 1500
+        assert all(len(table) == 1 for _, _, table, _, _ in nl._blocks)
+        assert peak < 8 << 20
 
     def test_plane_route_never_compiles_blocks(self, monkeypatch):
-        def refuse(program):
+        def refuse(*args):
             raise AssertionError("block program compiled on the plane route")
 
         monkeypatch.setattr(circuit, "_block_program", refuse)

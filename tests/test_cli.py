@@ -282,7 +282,7 @@ class TestFactor:
 
     @pytest.mark.parametrize("route,work", [
         ("fast", {"gates": 210, "tiles": 1, "plane_ops": 110}),
-        ("faithful", {"gates": 210, "table_lookups": 13}),
+        ("faithful", {"gates": 210, "table_lookups": 3}),
     ])
     def test_classical_work_beside_the_one_pass(self, capsys, route, work):
         code, report, _ = run_json(capsys, "factor", "--z", "21", "--n", "5", "--route", route)
@@ -294,7 +294,7 @@ class TestFactor:
         assert code == 0
         assert "multiply passes: 1, gates: 210" in out
         assert ("plane ops: 110" in out) == (route == "fast")
-        assert ("table lookups: 13" in out) == (route == "faithful")
+        assert ("table lookups: 3" in out) == (route == "faithful")
 
     def test_one(self, capsys):
         code, report, _ = run_json(capsys, "factor", "--z", "1", "--n", "2")

@@ -406,7 +406,7 @@ class TestPipeline:
         assert (fast["gates"], fast["plane_ops"]) == (gates, plane_ops)
         assert fast["tiles"] == 4 ** max(n - 8, 0)
         assert faithful["gates"] == 124 and "plane_ops" not in faithful
-        assert faithful["table_lookups"] == 7 and "table_lookups" not in fast
+        assert faithful["table_lookups"] == 1 and "table_lookups" not in fast
 
     def test_sub_superposition_linearity(self):
         # a restricted (x, y) range yields exactly the matching subset of terms
@@ -612,8 +612,18 @@ class TestPerWidthPlan:
 
         monkeypatch.setattr(circuit, "_plane_program", refuse)
         got = factor_pipeline(21, 5, "faithful")
-        assert (got["divisors"], got["table_lookups"]) == ([1, 3, 7, 21], 13)
+        assert (got["divisors"], got["table_lookups"]) == ([1, 3, 7, 21], 3)
         assert "_folds" not in factoring._multiplier_for(5).__dict__
+
+    def test_faithful_rows_filled_once(self, fresh):
+        def rows():
+            return [len(table) for _, _, table, _, _ in factoring._multiplier_for(4)._blocks]
+
+        first = factor_pipeline(15, 4, "faithful")
+        filled = rows()
+        assert filled == [256]  # one block reads all 8 operand places
+        assert factor_pipeline(15, 4, "faithful") == first
+        assert rows() == filled
 
 
 class TestSharedNetlist:
