@@ -39,10 +39,12 @@ Stepping and assembly: each machine steps from one table compiled on its
 first step, two rows per machine state indexed ``s << 1 | read``, and one
 routine, ``TruncationParams._step_into``, steps codes through it into the
 machine's successor memo; ``step_codes`` calls it on a memo miss, and the
-chain build calls it once per machine over every default start.  A chain's
-first ``SEGMENT`` steps are ORed into its mask; later steps go ``SEGMENT``
-at a time into a segment int, whose bytes are joined and read back once,
-so a K-step chain costs time linear in K.
+chain build calls it once per machine over that machine's starts.  Every
+chain starts from an enumerated start, default or explicit, as every term
+of the free construction does.  A chain's first ``SEGMENT`` steps are ORed
+into its mask; later steps go ``SEGMENT`` at a time into a segment int,
+whose bytes are joined and read back once, so a K-step chain costs time
+linear in K.
 
 Everything here is finite by construction: K steps, B tape cells, and
 explicitly enumerated machine/configuration/state sets.  The probe answers
@@ -53,7 +55,8 @@ Totalization conventions (one fixed choice, none of which affect the
 bounded-probe semantics): halted states are fixed points; a head moving off
 the tape keeps its last cell and the control goes to the machine's REJECT
 halt state; terms carrying codes outside the enumerated sets also step to
-REJECT with the memory left unchanged.
+REJECT with the memory left unchanged, and an unknown machine code to
+state 0.
 """
 from __future__ import annotations
 
@@ -64,7 +67,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .core import EncodingRangeError, Multivector, blade_mul, check_terms
+from .core import Multivector, blade_mul, check_terms
 
 MOVES = ("L", "R")
 
@@ -223,7 +226,8 @@ class TruncationParams:
     starts at bit ``w_m + b*h``.  Step i reads block 2i and writes block
     2i+1, so ``dimension = w_m + 2*h*steps``, and nothing here grows with the
     step count.  Every code a step can read or write fits its field, which is
-    why the per-term code shifts without a range check.
+    why the per-term code shifts without a range check; a machine code
+    outside the set steps to state 0.
 
     The default configuration set, every ``tape | head << cells`` code, is
     ``range(cells << cells)``.  It is formed only when ``config_codes`` is
@@ -239,7 +243,6 @@ class TruncationParams:
         cells: int,
         config_codes: Sequence[int] | None = None,
         state_codes: Sequence[int] | None = None,
-        reject_code: int = 0,
     ):
         if steps < 1:
             raise ValueError("step count must be at least 1")
@@ -247,8 +250,6 @@ class TruncationParams:
             raise ValueError("tape must have at least one cell")
         if not machines:
             raise ValueError("machine set must not be empty")
-        if reject_code < 0:
-            raise ValueError(f"reject_code {reject_code} is negative")
         codes = [m.code for m in machines]
         if len(set(codes)) != len(codes):
             raise ValueError("machine codes collide within the machine set")
@@ -269,16 +270,14 @@ class TruncationParams:
             state_codes = range(max(m.num_states for m in machines))
         self.state_codes = _code_set(state_codes, "state_codes")
         self._state_set = frozenset(self.state_codes)
-        self.reject_code = reject_code
 
         self.w_m = max(1, max(codes).bit_length())
         self.w_x = w_x
         # Output fields must fit every state a step can emit, not only the
-        # enumerated input codes: any machine state plus the reject codes.
+        # enumerated input codes: any machine state, and 0 for an unknown machine.
         self.w_s = max(
             1,
             max(self.state_codes).bit_length(),
-            reject_code.bit_length(),
             max(m.num_states - 1 for m in machines).bit_length(),
         )
         self.h = w_x + self.w_s
@@ -305,8 +304,8 @@ class TruncationParams:
 
         Takes and returns the block format the layout and the successor memo
         use, so no caller splits or packs it.  An unknown machine steps to
-        ``reject_code`` and an input outside the enumerated sets to the
-        machine's reject, both with x unchanged and neither memoized; an
+        state 0 and an input outside the enumerated sets to the machine's
+        reject, both with x unchanged and neither memoized; an
         in-set input is read from the machine's successor memo, which a miss
         fills through ``_step_into``, the one step rule.
         """
@@ -314,7 +313,7 @@ class TruncationParams:
         x = code & ~(-1 << w_x)
         spec = self.machine_by_code.get(machine_code)
         if spec is None:
-            return x | self.reject_code << w_x
+            return x
         if x >> self._config_shift not in self._config_set or code >> w_x not in self._state_set:
             return x | spec.reject << w_x
         memo = self._successors[machine_code]
@@ -507,46 +506,48 @@ def build_chained_superposition(
     to chain onto a missing input term.  Equals
     ``consistency_project(apply_all_steps(build_free_superposition(...)))``.
 
-    Each machine walks its starts as packed blocks ``x | s << w_x``, one
-    successor-memo lookup per step.  Default starts are every in-set input,
-    so each machine's memo is first filled in one batch (``_step_into``) and
-    the walk only reads it; with explicit starts a miss calls
-    ``params.step_codes``, which fills it.  The first ``SEGMENT`` steps are
-    ORed into the chain mask; the rest go ``SEGMENT`` steps at a time into
-    a segment int of ``SEGMENT * 2h`` bits, a whole number of bytes, and the
-    segments' bytes are joined and read back once, so the assembly is linear
-    in K.  A start repeated n times gets coefficient +-n; a machine code too
-    wide for its field raises only if one of its chains survives.  The cap
-    counts chains x 2K blocks x the 64-bit words a block spans, so it bounds
-    the step count and the tape width as well as the starts.
+    The default starts are every enumerated input of every machine.
+    Explicit starts are enumerated starts too: a machine of the set, a
+    config and a state of the enumerated sets, as in every free term; any
+    other start raises ``ValueError`` naming it, after the cap check and
+    before any step.  A start repeated n times gets coefficient +-n.
+
+    Each machine's start codes, packed blocks ``x | s << w_x``, are stepped
+    in one batch (``_step_into``) into its successor memo, skipped when the
+    memo already holds them all, so step 0 is a memo read; a later step
+    whose input the memo lacks calls ``params.step_codes``, which fills it.
+    The first ``SEGMENT`` steps are ORed into the chain mask; the rest go
+    ``SEGMENT`` steps at a time into a segment int of ``SEGMENT * 2h`` bits,
+    a whole number of bytes, and the segments' bytes are joined and read
+    back once, so the assembly is linear in K.  The cap counts chains x 2K
+    blocks x the 64-bit words a block spans, so it bounds the step count and
+    the tape width as well as the starts.
     """
-    w_m, w_x, w_s, h = params.w_m, params.w_x, params.w_s, params.h
+    w_m, w_x, h = params.w_m, params.w_x, params.h
     if starts is None:
         chains = len(params.machines) * params._config_count * len(params.state_codes)
     else:
         chains = len(starts)
     check_terms(chains * 2 * params.steps * _words(h), "chained superposition", "words")
-    successors = params._successors
+    states, shift, configs = params._state_set, params._config_shift, params._config_set
     if starts is None:
-        # Every default code fits its field: TruncationParams sized w_x and w_s for them.
         ones = dict.fromkeys(
             (x | s << w_x for x in params.config_codes for s in params.state_codes), 1
         )
-        groups = [(m.code, ones) for m in params.machines]
-        for m in params.machines:  # every in-set input is a default start
-            if len(successors[m.code]) < len(ones):
-                params._step_into(m.code, ones)
+        groups = {m.code: ones for m in params.machines}
     else:
-        by_machine: dict[int, dict[int, int]] = {}
-        for m_code, x, s in starts:
-            # Range-checked before packing: an over-wide start raises here
-            # instead of aliasing another start's packed block.
-            if x < 0 or x >> w_x or s < 0 or s >> w_s:
-                raise EncodingRangeError(f"start ({x}, {s}) does not fit the input block")
+        groups = {}
+        for start in starts:
+            m_code, x, s = start
+            if m_code not in params.machine_by_code or x >> shift not in configs or s not in states:
+                raise ValueError(f"start {start} is not an enumerated (machine, config, state)")
+            counts = groups.setdefault(m_code, {})
             code = x | s << w_x
-            counts = by_machine.setdefault(m_code, {})
             counts[code] = counts.get(code, 0) + 1
-        groups = by_machine.items()
+    successors = params._successors
+    for m_code, counts in groups.items():
+        if not counts.keys() <= successors[m_code].keys():
+            params._step_into(m_code, counts)
     links = _links(params)
     x_mask = ~(-1 << w_x)
     first = w_m + h  # block 1, step 0's output; step i's is block 2i+1
@@ -559,20 +560,16 @@ def build_chained_superposition(
     segments = [segment] * full + [segment[:part]] * (part > 0)
     segment_bytes = SEGMENT * h // 4
     step_codes = params.step_codes
-    states, shift, configs = params._state_set, params._config_shift, params._config_set
     terms: dict[int, int] = {}
-    for m_code, counts in groups:
-        get = successors.get(m_code, {}).get
-        fits = 0 <= m_code and not m_code >> w_m
-        into = terms if fits else {}
+    for m_code, counts in groups.items():
+        memo = successors[m_code]
+        get = memo.get
         m_bits = m_code.bit_count()
         for code, count in counts.items():
-            out = get(code)
-            if out is None:
-                out = step_codes(m_code, code)
+            out = memo[code]
             # No range check needed: TruncationParams sized w_x for every
-            # tape/head code and w_s for every machine state and reject code,
-            # so a step's outputs fit its output block.
+            # tape/head code and w_s for every machine state, so a step's
+            # outputs fit its output block.
             ext = out << first
             for offset in lead:
                 nxt = get(out)
@@ -606,9 +603,7 @@ def build_chained_superposition(
                 # blocks of steps 0..K-2, moved up one block.
                 mask = m_code | code << w_m | (ext & links) << h | ext
                 odd = ext.bit_count() * (m_bits + code.bit_count()) & 1
-                into[mask] = -count if odd else count
-        if into and not fits:  # a chain of this machine survived
-            raise EncodingRangeError(f"machine code {m_code} does not fit {w_m} bits")
+                terms[mask] = -count if odd else count
     return Multivector._wrap(params.dimension, terms)
 
 

@@ -18,8 +18,7 @@ swaps ``lo`` and ``lo | flag`` when ``lo`` codes a marked x and fixes both
 otherwise.  With s[m] the state's coefficient on blade m, the filter
 (s - O(s)) / 2 is 0 on an unmarked pair and, on a marked pair, ``d/2`` on
 ``lo`` and ``-d/2`` on ``lo | flag`` with ``d = s[lo] - s[lo | flag]``.
-``half_difference_filter`` computes exactly that, one pair at a time,
-without building O(s) or the difference.
+``half_difference_filter`` is that definition, built from O(s) in full.
 
 On a database state every pair holds ``s[lo] = 1`` and ``s[lo | flag] = -1``,
 so d = 2 and the pair becomes ``1, -1`` on a marked x and cancels otherwise:
@@ -34,7 +33,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Collection, Iterable
 
-from .core import Coefficient, EncodingRangeError, Multivector, check_terms
+from .core import EncodingRangeError, Multivector, check_terms
 
 
 class MembershipOracle:
@@ -132,38 +131,12 @@ def apply_oracle(oracle: MembershipOracle, state: Multivector, sl: SearchLayout)
 def half_difference_filter(oracle: MembershipOracle, state: Multivector, sl: SearchLayout) -> Multivector:
     """The projector (state - oracle(state)) / 2; one oracle-operator application.
 
-    Computed pairwise, without the oracle's image: blades ``lo`` and
-    ``lo | flag`` share the data value x.  If f(x) = 0 both terms cancel; if
-    f(x) = 1 the pair becomes ``lo -> d/2`` and ``lo | flag -> -d/2`` with
-    ``d = s[lo] - s[lo | flag]`` (a missing partner counts as 0).  The
-    flag-clear blade ``lo`` is the data value itself.  f is
-    evaluated once per pair, so once per distinct data value.  On database
-    states it keeps exactly the marked elements' term patterns.
+    Its definition, built in full: f is evaluated once per distinct data
+    value, as ``apply_oracle`` memoizes within one application, and every
+    coefficient is a ``Fraction``.  On database states it keeps exactly the
+    marked elements' term patterns.
     """
-    if state.dimension != sl.dimension:
-        raise ValueError("state does not live in this search layout")
-    oracle.op_count += 1
-    flag = 1 << sl.oracle_dim
-    evaluate = oracle.evaluate
-    terms = state.terms
-    get = terms.get
-    kept: dict[int, Coefficient] = {}
-    for m, c in terms.items():
-        if m & flag:
-            lo = m ^ flag
-            if lo in terms or not evaluate(lo):
-                continue  # a full pair is taken at its flag-clear blade
-            d = -c
-        elif evaluate(m):
-            lo = m
-            d = c - get(m | flag, 0)
-        else:
-            continue
-        if d:
-            half = d >> 1 if type(d) is int and not d & 1 else Fraction(d, 2)
-            kept[lo] = half
-            kept[lo | flag] = -half
-    return Multivector._raw(state.dimension, kept)
+    return (state - apply_oracle(oracle, state, sl)).scale(Fraction(1, 2))
 
 
 def filter_marked(oracle: MembershipOracle, elements: Iterable[int], sl: SearchLayout) -> Multivector:

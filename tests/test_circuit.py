@@ -4,6 +4,7 @@ import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
+from itertools import cycle
 from pathlib import Path
 
 import pytest
@@ -648,16 +649,18 @@ def block_runs(draw):
     """A valid netlist and a start memory that reach every path of the block cover.
 
     Up to 12 inputs, so a run of gates on consecutive targets can read more
-    than ``LUT_INPUTS`` places from outside, the more so when every gate
-    reads only inputs; targets either climb one place at a time, with or
-    without gaps, or come in any order (descending and scattered, so
-    singleton blocks); ``p == q`` gates; outputs that are
-    inputs, written places or places no gate writes.  The start holds any
+    than ``LUT_INPUTS`` places from outside: in a wide draw there are more
+    inputs than that, and each gate reads only inputs, two that no earlier
+    gate read while any are left, so a run passes ``LUT_INPUTS`` outside
+    reads by its fifth gate.  Targets either climb one place at a time,
+    with or without gaps, or come in any order (descending and scattered,
+    so singleton blocks); ``p == q`` gates; outputs that are inputs,
+    written places or places no gate writes.  The start holds any
     input bits, bits on either side of the window and on unwritten places
     inside it, and either sign.
     """
-    lo = draw(st.integers(0, 3))
-    inputs = list(range(lo, lo + draw(st.integers(1, 12))))
+    lo, wide = draw(st.integers(0, 3)), draw(st.booleans())
+    inputs = list(range(lo, lo + draw(st.integers(circuit.LUT_INPUTS + 1 if wide else 1, 12))))
     count = draw(st.integers(0, 16))
     targets, place, gaps = [], inputs[-1], draw(st.sampled_from([[0], [0, 0, 0, 1]]))
     for _ in range(count):
@@ -665,11 +668,14 @@ def block_runs(draw):
         targets.append(place)
     if draw(st.booleans()):
         targets = draw(st.permutations(targets))
-    known, gates, wide = list(inputs), [], draw(st.booleans())
+    known, gates = list(inputs), []
+    fresh = cycle(draw(st.permutations(inputs)))
     for r in targets:
-        reads = inputs if wide else known
-        p = draw(st.sampled_from(reads))
-        q = p if draw(st.integers(0, 4)) == 0 else draw(st.sampled_from(reads))
+        if wide:
+            p, q = next(fresh), next(fresh)
+        else:
+            p = draw(st.sampled_from(known))
+            q = p if draw(st.integers(0, 4)) == 0 else draw(st.sampled_from(known))
         gates.append(NandGate(p, q, r))
         known.append(r)
     unwritten = place + 1

@@ -29,8 +29,13 @@ from gacalc.core import (
 )
 from gacalc.circuit import linear_extend
 from gacalc.factoring import factor_pipeline, multiply_all
-from gacalc.halting import TruncationParams, bounded_halt_probe, probe_report
-from gacalc.search import SearchLayout, build_initial_state, run_search
+from gacalc.halting import (
+    TruncationParams,
+    bounded_halt_probe,
+    build_chained_superposition,
+    probe_report,
+)
+from gacalc.search import SearchLayout, build_initial_state, half_difference_filter, run_search
 
 from conftest import bubble_sign
 
@@ -707,10 +712,10 @@ def test_no_new_pipeline_options():
     params = lambda f: list(inspect.signature(f).parameters)
     assert params(factor_pipeline) == ["z", "n", "route"]
     assert params(multiply_all) == ["fl", "state"]
-    assert params(TruncationParams) == [
-        "machines", "steps", "cells", "config_codes", "state_codes", "reject_code"
-    ]
+    assert params(TruncationParams) == ["machines", "steps", "cells", "config_codes", "state_codes"]
+    assert params(build_chained_superposition) == ["params", "starts"]
     assert params(probe_report) == ["spec", "config", "steps", "mode"]
     assert params(bounded_halt_probe) == ["spec", "config", "steps"]
     assert params(TruncationParams.step_codes) == ["self", "machine_code", "code"]
     assert params(run_search) == ["elements", "f", "n"]
+    assert params(half_difference_filter) == ["oracle", "state", "sl"]

@@ -53,7 +53,7 @@ def slot_layout(params: TruncationParams) -> SubspaceLayout:
 
     The widths are worked out here from the sets, as documented: the memory
     slots fit every tape/head code and enumerated config, the state slots
-    every enumerated state, machine state and the reject code.
+    every enumerated state and machine state (and 0, an unknown machine's).
     """
     cells = params.cells
     w_m = max(1, max(m.code for m in params.machines).bit_length())
@@ -61,7 +61,6 @@ def slot_layout(params: TruncationParams) -> SubspaceLayout:
     w_s = max(
         1,
         max(params.state_codes).bit_length(),
-        params.reject_code.bit_length(),
         max(m.num_states - 1 for m in params.machines).bit_length(),
     )
     widths = [("0", w_m)]
@@ -83,7 +82,7 @@ def reference_step_codes(params: TruncationParams, machine_code: int, code: int)
     x, s = unpack(params, code)
     spec = params.machine_by_code.get(machine_code)
     if spec is None:
-        return pack(params, x, params.reject_code)
+        return pack(params, x, 0)
     if (
         x not in params.config_codes
         or s not in params._state_set
@@ -361,11 +360,10 @@ class TestStepCodes:
             2,
             config_codes=[0, 1, 4, 5, 2 << 2],  # 2 << 2 puts the head on cell 2
             state_codes=[0, 1, 2, 3],
-            reject_code=1,
         )
         unknown = next(c for c in range(1 << 8) if c not in params.machine_by_code)
         cases = {
-            (unknown, 5, 0): (5, params.reject_code),
+            (unknown, 5, 3): (5, 0),  # an unknown machine steps to state 0
             (seeker.code, 2, 0): (2, seeker.reject),  # x outside the config set
             (seeker.code, 0, 4): (0, seeker.reject),  # s outside the state set
             (seeker.code, 0, 3): (0, seeker.reject),  # s in the set, >= num_states
@@ -391,7 +389,7 @@ class TestTruncationParams:
             (corpus, 3, 2, dict(config_codes=[0, 3, 5, 6, 9], state_codes=[1, 2])),
             ([CORPUS["bb2"]], 2, 2, dict(config_codes=[0, 1, 4, 5], state_codes=[0, 1])),
             (corpus, 7, 4, dict(config_codes=[1 << 12], state_codes=[5])),
-            ([CORPUS["bb1"]], 40, 1, dict(reject_code=1 << 9)),
+            ([CORPUS["bb1"]], 40, 1, dict(state_codes=[0, 1 << 9])),
         ]
         for machines, steps, cells, sets in cases:
             params = TruncationParams(machines, steps, cells, **sets)
@@ -421,19 +419,20 @@ class TestTruncationParams:
         assert elapsed < 0.1
 
     @pytest.mark.parametrize(
-        "sets",
+        "sets,error",
         [
-            dict(config_codes=[]),
-            dict(config_codes=[-1, 0]),
-            dict(state_codes=[]),
-            dict(state_codes=[-1, 0]),
-            dict(reject_code=-1),
+            (dict(config_codes=[]), ValueError),
+            (dict(config_codes=[-1, 0]), ValueError),
+            (dict(state_codes=[]), ValueError),
+            (dict(state_codes=[-1, 0]), ValueError),
+            # No setting: an unknown machine steps to the constant state 0.
+            (dict(reject_code=1), TypeError),
         ],
         ids=["configs-empty", "configs-negative", "states-empty", "states-negative", "reject"],
     )
-    def test_bad_code_sets_are_refused_by_name(self, sets):
+    def test_bad_code_sets_are_refused_by_name(self, sets, error):
         (name,) = sets
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(error, match=name):
             TruncationParams([CORPUS["bb1"]], 1, 2, **sets)
 
 
@@ -551,16 +550,17 @@ class TestStepOperator:
 
     def test_meaningless_machine_code_rejects(self):
         spec = CORPUS["bb1"]
-        params = TruncationParams([spec], steps=1, cells=1, reject_code=1)
+        params = TruncationParams([spec], steps=1, cells=1)
         layout = slot_layout(params)
         bogus = spec.code - 1  # fits the slot width but is not in the set
+        assert spec.reject != 0  # so the unknown machine's state 0 is its own rule
         term = Multivector.blade(params.dimension, encode(bogus, "0", layout))
         out = apply_step_operator(term, 0, params)
         (mask,) = out.masks()
         from gacalc.encoding import decode
 
         assert decode(mask, "3", layout) == 0  # memory copied through
-        assert decode(mask, "4", layout) == params.reject_code
+        assert decode(mask, "4", layout) == 0
 
     def test_out_of_set_state_rejects(self):
         spec = CORPUS["bb2"]
@@ -834,25 +834,27 @@ class TestChainBuild:
     def test_explicit_starts(self, steps):
         bb2 = CORPUS["bb2"]
         params = TruncationParams(
-            [bb2, CORPUS["bb1"]],
-            steps,
-            2,
-            config_codes=[0, 1, 4, 5],
-            state_codes=[0, 1],
-            reject_code=1,
+            [bb2, CORPUS["bb1"]], steps, 2, config_codes=[0, 1, 4, 5], state_codes=[0, 1]
         )
         unknown = next(c for c in range(1 << 8) if c not in params.machine_by_code)
         dies = (bb2.code, 4, 1)  # reads 0 in state 1 at the right edge: runs off
-        x1, s1 = unpack(params, params.step_codes(dies[0], pack(params, *dies[1:])))
-        assert x1 not in params.config_codes or s1 not in params.state_codes
         starts = [
+            (bb2.code, 0, bb2.start),
+            (bb2.code, 0, bb2.start),  # a repeated start doubles its chain
+            (CORPUS["bb1"].code, 5, 1),
+            dies,
+        ]
+        # No free term carries these, so the build refuses them.
+        for bad in [
             (unknown, 0, 0),
             (bb2.code, 2, 0),  # x outside the config set
             (bb2.code, 0, 2),  # s outside the state set, inside its slot
-            (bb2.code, 0, bb2.start),
-            (bb2.code, 0, bb2.start),  # a repeated start doubles its chain
-            dies,
-        ]
+        ]:
+            with pytest.raises(ValueError, match=rf"^start \({bad[0]}, {bad[1]}, {bad[2]}\) "):
+                build_chained_superposition(params, [*starts, bad])
+            assert not any(params._successors.values())  # refused before any step
+        x1, s1 = unpack(params, params.step_codes(dies[0], pack(params, *dies[1:])))
+        assert x1 not in params.config_codes or s1 not in params.state_codes
         for start in starts:
             want = stepwise_chains(params, [start])
             assert_same_terms(build_chained_superposition(params, [start]), want)
@@ -864,16 +866,18 @@ class TestChainBuild:
     @pytest.mark.parametrize("slot", [1, 2])
     @pytest.mark.parametrize("steps", [1, 2])
     def test_start_too_wide_for_its_slot(self, steps, slot):
-        # A memory code too wide for slot 1 is outside the config set too, so
-        # at K = 2 its chain dies at step 0; the start is still range-checked.
+        # A code too wide for its slot is outside its enumerated set: refused
+        # by name before any step, and only after the chain cap's count.
         spec = CORPUS["bb1"]
         params = TruncationParams([spec], steps, 2)
         start = [spec.code, 0, 0]
         start[slot] = 1 << slot_layout(params).subspaces[slot].width
-        starts = [tuple(start)]
-        for build in (build_chained_superposition, stepwise_chains):
-            with pytest.raises(EncodingRangeError):
-                build(params, starts)
+        starts = [(spec.code, 0, 0), tuple(start)]
+        with pytest.raises(ValueError, match=rf"^start \({start[0]}, {start[1]}, {start[2]}\) "):
+            build_chained_superposition(params, starts)
+        assert params._successors == {spec.code: {}}
+        with pytest.raises(ResourceCapError):
+            build_chained_superposition(TruncationParams([spec], 10**30, 2), starts)
 
 
     def test_repeated_start_sums_its_sign(self):
@@ -893,15 +897,18 @@ class TestChainBuild:
     @pytest.mark.parametrize("steps", [1, 2, 3])
     @pytest.mark.parametrize("state_codes", [[0, 1], [1, 2]])
     def test_machine_code_outside_the_set(self, steps, state_codes):
-        # An unknown code steps to reject_code 0: the chain survives K = 1,
-        # and longer ones only if 0 is an enumerated state.
+        # A code that fits slot 0 but names no machine of the set is refused,
+        # whatever its config and state; the set's own start still builds.
         params = TruncationParams([CORPUS["bb2"]], steps, 2, state_codes=state_codes)
         unknown = CORPUS["bb1"].code
-        starts = [(unknown, x, 1) for x in (0, 5)] + [(CORPUS["bb2"].code, 0, 1)]
-        built = build_chained_superposition(params, starts)
-        assert_same_terms(built, stepwise_chains(params, starts))
-        survivors = {m & slot_layout(params)["0"].mask for m in built.masks()}
-        assert (unknown in survivors) == (steps == 1 or 0 in state_codes)
+        kept = (CORPUS["bb2"].code, 0, 1)
+        for x in (0, 5):
+            with pytest.raises(ValueError, match=rf"^start \({unknown}, {x}, 1\) "):
+                build_chained_superposition(params, [kept, (unknown, x, 1)])
+        assert not any(params._successors.values())
+        assert_same_terms(
+            build_chained_superposition(params, [kept]), stepwise_chains(params, [kept])
+        )
 
     @pytest.mark.parametrize(
         "config_codes,state_codes,counts",
@@ -928,13 +935,12 @@ class TestChainBuild:
         assert got == counts  # chains drop at step 1, and in the first case at step 2
 
     def test_one_step(self):
-        # At K = 1 nothing links: every distinct start, in the sets or not, keeps its chain.
+        # At K = 1 nothing links: every distinct start keeps its chain.
         params = TruncationParams(
             [CORPUS["bb2"], CORPUS["seeker"]], 1, 3, config_codes=[0, 7, 9], state_codes=[0, 1]
         )
-        unknown = next(c for c in range(1 << 8) if c not in params.machine_by_code)
         starts = [
-            (m, x, s) for m in (CORPUS["bb2"].code, unknown) for x in (0, 1, 9) for s in (0, 3)
+            (m.code, x, s) for m in params.machines for x in (0, 7, 9) for s in (0, 1)
         ]
         built = build_chained_superposition(params, starts)
         assert len(built) == len(starts)
@@ -943,22 +949,57 @@ class TestChainBuild:
 
     @pytest.mark.parametrize("build", [build_chained_superposition, stepwise_chains])
     def test_machine_code_too_wide_for_slot_zero(self, build):
-        # The code is range-checked only when one of its chains survives: its
-        # chains step to reject_code 0, which the state set [1, 2] leaves out.
+        # A code too wide for slot 0 names no machine of the set.  The chain
+        # build refuses it up front, even where its chain would die at step
+        # 1 (state 0 is left out of [1, 2]); the reference steps it to state
+        # 0 and its range-checked encode refuses it only where the chain
+        # survives.
         bb2 = CORPUS["bb2"]
         wide = 1 << slot_layout(TruncationParams([bb2], 1, 2))["0"].width
-        kept = (bb2.code, 0, bb2.start)
+        kept = (bb2.code, 0, 1)
         dropped = TruncationParams([bb2], 2, 2, state_codes=[1, 2])
-        assert_same_terms(
-            build(dropped, [(wide, 0, 1), kept, (wide, 5, 2)]),
-            stepwise_chains(dropped, [kept]),
-        )
+        starts = [(wide, 0, 1), kept, (wide, 5, 2)]
+        if build is build_chained_superposition:
+            with pytest.raises(ValueError, match=rf"^start \({wide}, 0, 1\) "):
+                build(dropped, starts)
+            assert not any(dropped._successors.values())
+            starts = [kept]
+        assert_same_terms(build(dropped, starts), stepwise_chains(dropped, [kept]))
+        refused = ValueError if build is build_chained_superposition else EncodingRangeError
         for params in (
             TruncationParams([bb2], 1, 2, state_codes=[1, 2]),
             TruncationParams([bb2], 2, 2, state_codes=[0, 1, 2]),
         ):
-            with pytest.raises(EncodingRangeError):
+            with pytest.raises(refused):
                 build(params, [kept, (wide, 0, 1)])
+
+    def test_explicit_starts_are_stepped_in_one_batch_per_machine(self):
+        # Step 0 is a memo read with explicit starts too: each machine's
+        # starts go to ``_step_into`` in one batch, and a build whose starts
+        # the memos already hold steps nothing.
+        bb2, seeker = CORPUS["bb2"], CORPUS["seeker"]
+        params = TruncationParams([bb2, seeker], 1, 2)
+        batches = []
+        step_into = params._step_into
+
+        def counting(machine_code, codes):
+            codes = list(codes)
+            batches.append((machine_code, codes))
+            step_into(machine_code, codes)
+
+        params._step_into = counting
+        starts = [(seeker.code, 1, 0), (bb2.code, 0, 0), (seeker.code, 5, 1), (bb2.code, 0, 0)]
+        assert_same_terms(
+            build_chained_superposition(params, starts), stepwise_chains(params, starts)
+        )
+        assert batches == [
+            (seeker.code, [pack(params, 1, 0), pack(params, 5, 1)]),
+            (bb2.code, [pack(params, 0, 0)]),
+        ]
+        assert_same_terms(
+            build_chained_superposition(params, starts[:2]), stepwise_chains(params, starts[:2])
+        )
+        assert len(batches) == 2
 
     def test_corpus_build_fills_each_successor_memo_once(self):
         # Every enumerated (machine, config, state) input is stepped exactly
@@ -1049,18 +1090,17 @@ class TestSegmentedChains:
 
     @pytest.mark.parametrize("steps", SEGMENT_STEPS)
     def test_machine_code_too_wide(self, steps):
-        # An unknown code steps to reject_code: the chain survives when that
-        # state is enumerated, and then the code must fit w_m bits.
+        # A code too wide for w_m bits names no machine of the set: refused
+        # before any step at every chain length; the set's own start builds.
         bb2 = CORPUS["bb2"]
         kept = (bb2.code, 0, bb2.start)
-        survives = TruncationParams([bb2], steps, 2, state_codes=[0, 1, 2])
-        starts = [kept, (1 << survives.w_m, 0, 1)]
-        for build in (build_chained_superposition, stepwise_chains):
-            with pytest.raises(EncodingRangeError):
-                build(survives, starts)
-        dropped = TruncationParams([bb2], steps, 2, state_codes=[0, 1, 2], reject_code=3)
+        params = TruncationParams([bb2], steps, 2, state_codes=[0, 1, 2])
+        wide = 1 << params.w_m
+        with pytest.raises(ValueError, match=rf"^start \({wide}, 0, 1\) "):
+            build_chained_superposition(params, [kept, (wide, 0, 1)])
+        assert params._successors == {bb2.code: {}}
         assert_same_terms(
-            build_chained_superposition(dropped, starts), stepwise_chains(dropped, [kept])
+            build_chained_superposition(params, [kept]), stepwise_chains(params, [kept])
         )
 
 

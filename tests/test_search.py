@@ -205,7 +205,8 @@ class TestFilterMarked:
 
 
 class TestFusedFilter:
-    """The one-pass filter against (state - O(state)) / 2 built in full."""
+    """The filter, (state - O(state)) / 2 by definition, on flag-pair edge cases:
+    lone and equal pairs, odd differences, counters and the dimension refusal."""
 
     @settings(max_examples=300, deadline=None)
     @given(flag_pair_states())
