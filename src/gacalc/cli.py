@@ -314,10 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("GACALC_LOG", "WARNING").upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        level = os.environ.get("GACALC_LOG", "WARNING")
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise UsageError(f"GACALC_LOG={level!r}: use debug, info, warning or error")
+        logging.basicConfig(level=level.upper())
         report = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -35,9 +35,9 @@ The first and last sums both count the pairs of output bits in different
 steps' blocks, so they cancel and the sign is
 ``(-1)^(|ext| * (|machine| + |inputs_0|))``: no sign scan at all.
 
-Stepping and assembly: each machine steps from one table compiled on its
-first step, two rows per machine state indexed ``s << 1 | read``, and one
-routine, ``TruncationParams._step_into``, steps codes through it into the
+Stepping and assembly: each machine steps through the rows its ``TMSpec``
+builds once, two per machine state indexed ``s << 1 | read``, and one
+routine, ``TruncationParams._step_into``, steps codes through them into the
 machine's successor memo; ``step_codes`` calls it on a memo miss, and the
 chain build calls it once per machine over that machine's starts.  Every
 chain starts from an enumerated start, default or explicit, as every term
@@ -123,7 +123,10 @@ class TMSpec:
     states.  ``reject`` is the halt state used by the totalization
     conventions.  ``code`` packs the table rows (write bit, move bit, next
     state) in state-major, symbol-minor order, first row in the lowest bits.
-    The table is a read-only view, so ``code`` cannot go stale.
+    The table is a read-only view, so ``code`` and ``rows`` cannot go stale.
+
+    ``rows``, built once here, is what every step reads: at ``s << 1 | read``,
+    ``(write ^ read, -1 or +1, next_state)``, or ``(0, 0, s)`` for a halt state.
     """
 
     def __init__(
@@ -144,6 +147,7 @@ class TMSpec:
             raise MachineFormatError("at least one halt state is required")
         self.reject = min(self.halt_states) if reject is None else reject
         self._validate()
+        self.rows = self._step_rows()
         self.code = self._encode_table()
 
     def _validate(self) -> None:
@@ -171,6 +175,16 @@ class TMSpec:
                     raise MachineFormatError(
                         f"missing transition for state {state} reading {symbol}"
                     )
+
+    def _step_rows(self) -> tuple[tuple[int, int, int], ...]:
+        rows = []
+        for s, read in product(range(self.num_states), (0, 1)):
+            if s in self.halt_states:
+                rows.append((0, 0, s))
+            else:
+                tr = self.transitions[(s, read)]
+                rows.append((tr.write ^ read, 1 if tr.move == "R" else -1, tr.next_state))
+        return tuple(rows)
 
     def _encode_table(self) -> int:
         row_width = 2 + max(1, (self.num_states - 1).bit_length())
@@ -233,7 +247,8 @@ class TruncationParams:
     ``range(cells << cells)``.  It is formed only when ``config_codes`` is
     read: membership tests the head, ``x >> cells in range(cells)``, so a
     one-chain probe holds only its 2K blocks, which the chain cap bounds,
-    at any tape width.
+    at any tape width.  ``_is_config(x)``, fixed here, is that one test for
+    every caller.  Nothing is compiled per machine: steps read ``TMSpec.rows``.
     """
 
     def __init__(
@@ -261,10 +276,11 @@ class TruncationParams:
         w_x = cells + (cells - 1).bit_length()
         if config_codes is None:
             # x is a default code exactly when its head, x >> cells, is a cell.
-            self._codes, self._config_shift, self._config_set = None, cells, range(cells)
+            self._codes = None
+            self._is_config = lambda x: 0 <= x >> cells < cells
         else:
             self._codes = _code_set(config_codes, "config_codes")
-            self._config_shift, self._config_set = 0, frozenset(self._codes)
+            self._is_config = frozenset(self._codes).__contains__
             w_x = max(w_x, max(self._codes).bit_length())
         if state_codes is None:
             state_codes = range(max(m.num_states for m in machines))
@@ -286,8 +302,6 @@ class TruncationParams:
         # by ``_step_into`` for in-set inputs only, whose codes fit w_x and w_s
         # and so never alias a packed key.
         self._successors: dict[int, dict[int, int]] = {m.code: {} for m in machines}
-        # Per machine: its step rows, compiled on its first step (``_step_table``).
-        self._tables: dict[int, list[tuple[int, int, int]]] = {}
 
     @property
     def config_codes(self) -> Sequence[int]:
@@ -314,7 +328,7 @@ class TruncationParams:
         spec = self.machine_by_code.get(machine_code)
         if spec is None:
             return x
-        if x >> self._config_shift not in self._config_set or code >> w_x not in self._state_set:
+        if not self._is_config(x) or code >> w_x not in self._state_set:
             return x | spec.reject << w_x
         memo = self._successors[machine_code]
         out = memo.get(code)
@@ -326,44 +340,26 @@ class TruncationParams:
     def _step_into(self, machine_code: int, codes: Iterable[int]) -> None:
         """Step in-set packed ``codes`` of one machine into its successor memo.
 
-        Each step is one row of the machine's step table, compiled on its
-        first step.  A state past the machine's or a head past the tape goes
-        to the machine's reject with x unchanged, and so does a head that
-        runs off: the write stands, the head stays on its cell.
+        Each step is one of the machine's ``TMSpec.rows``, its next state
+        shifted into the packed output here.  A state past the machine's or a
+        head past the tape goes to the machine's reject with x unchanged, and
+        so does a head that runs off: the write stands, the head stays on its
+        cell.
         """
         spec = self.machine_by_code[machine_code]
-        w_x, cells, states = self.w_x, self.cells, spec.num_states
-        table = self._tables.get(machine_code)
-        if table is None:
-            table = self._tables[machine_code] = _step_table(spec, w_x)
+        w_x, cells, states, rows = self.w_x, self.cells, spec.num_states, spec.rows
         memo = self._successors[machine_code]
         x_mask, reject = ~(-1 << w_x), spec.reject << w_x
         for code in codes:
             x, s = code & x_mask, code >> w_x
             head = x >> cells
             if s < states and head < cells:
-                flip, move, nxt = table[s << 1 | x >> head & 1]
+                flip, move, nxt = rows[s << 1 | x >> head & 1]
                 x ^= flip << head
                 if 0 <= head + move < cells:
-                    memo[code] = x + (move << cells) | nxt
+                    memo[code] = x + (move << cells) | nxt << w_x
                     continue
             memo[code] = x | reject
-
-
-def _step_table(spec: TMSpec, w_x: int) -> list[tuple[int, int, int]]:
-    """Rows ``(write ^ read, -1 or +1, next_state << w_x)`` at ``s << 1 | read``.
-
-    A halt state's rows are ``(0, 0, s << w_x)``: it steps to itself.
-    """
-    rows = []
-    for s in range(spec.num_states):
-        for read in (0, 1):
-            if s in spec.halt_states:
-                rows.append((0, 0, s << w_x))
-            else:
-                tr = spec.transitions[(s, read)]
-                rows.append((tr.write ^ read, 1 if tr.move == "R" else -1, tr.next_state << w_x))
-    return rows
 
 
 def _words(bits: int) -> int:
@@ -457,7 +453,7 @@ def instance_project(
     """Keep terms of one machine with one input and its start state in block 0."""
     if spec.code not in params.machine_by_code:
         raise ValueError("machine is not part of the enumerated machine set")
-    if input_code >> params._config_shift not in params._config_set:
+    if not params._is_config(input_code):
         raise ValueError(f"input config code {input_code} outside the enumerated set")
     w_m = params.w_m
     select = ~(-1 << w_m + params.h)  # the machine code and block 0
@@ -529,7 +525,7 @@ def build_chained_superposition(
     else:
         chains = len(starts)
     check_terms(chains * 2 * params.steps * _words(h), "chained superposition", "words")
-    states, shift, configs = params._state_set, params._config_shift, params._config_set
+    states, is_config = params._state_set, params._is_config
     if starts is None:
         ones = dict.fromkeys(
             (x | s << w_x for x in params.config_codes for s in params.state_codes), 1
@@ -539,7 +535,7 @@ def build_chained_superposition(
         groups = {}
         for start in starts:
             m_code, x, s = start
-            if m_code not in params.machine_by_code or x >> shift not in configs or s not in states:
+            if m_code not in params.machine_by_code or not is_config(x) or s not in states:
                 raise ValueError(f"start {start} is not an enumerated (machine, config, state)")
             counts = groups.setdefault(m_code, {})
             code = x | s << w_x
@@ -574,7 +570,7 @@ def build_chained_superposition(
             for offset in lead:
                 nxt = get(out)
                 if nxt is None:
-                    if (out & x_mask) >> shift not in configs or out >> w_x not in states:
+                    if not is_config(out & x_mask) or out >> w_x not in states:
                         break  # the previous step's outputs left the enumerated sets
                     nxt = step_codes(m_code, out)
                 ext |= nxt << offset
@@ -587,7 +583,7 @@ def build_chained_superposition(
                         for offset in offsets:
                             nxt = get(out)
                             if nxt is None:
-                                if (out & x_mask) >> shift not in configs or out >> w_x not in states:
+                                if not is_config(out & x_mask) or out >> w_x not in states:
                                     break
                                 nxt = step_codes(m_code, out)
                             seg |= nxt << offset

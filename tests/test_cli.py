@@ -2,7 +2,10 @@
 import io
 import json
 import re
+import os
 import signal
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -781,3 +784,18 @@ class TestReportShape:
         with pytest.raises(SystemExit) as exc:
             main(["search", "--n", "notanint", "--set", "1", "--marked", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value,code", [("verbose", 2), ("", 2), ("debug", 0)])
+    def test_log_level_from_the_environment(self, value, code):
+        # A fresh process: its root logger has no handler yet, so
+        # ``logging.basicConfig`` would read (and choke on) the level.
+        env = dict(os.environ, GACALC_LOG=value, PYTHONPATH=str(Path(gacalc.__file__).parents[1]))
+        argv = [sys.executable, "-m", "gacalc.cli", "halt-probe", "--machine",
+                str(MACHINES / "bb2.json"), "--tape", "6", "--head", "2", "--steps", "6"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == code
+        assert "Traceback" not in done.stderr
+        if code:
+            assert done.stderr.startswith(f"usage error: GACALC_LOG={value!r}")
+        else:
+            assert "agreement: yes" in done.stdout

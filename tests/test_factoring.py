@@ -502,8 +502,9 @@ class TestPlanePipeline:
     def test_operand_planes_go_after_their_last_read(self):
         # 37 planes are live at most at n = 9 (test_circuit pins it).  Were
         # the 18 operand planes held for the whole one-lane-per-pair run,
-        # the peak would pass 49 planes of 4^9 bits.
-        _multiplier_for(9)
+        # the peak would pass 49 planes of 4^9 bits.  The warm-up compiles the
+        # unfolded plane program, which a netlist builds on its first run.
+        _multiplier_for(9).plane_ops()
         tracemalloc.start()
         try:
             assert one_run_divisors(FactoringLayout(9), [221]) == [[1, 13, 17, 221]]

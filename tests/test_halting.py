@@ -12,6 +12,7 @@ from gacalc import halting
 from gacalc.core import MAX_TERMS, Multivector, ResourceCapError, blade_mul, to_records
 from gacalc.encoding import EncodingRangeError, SubspaceLayout, encode
 from gacalc.halting import (
+    MOVES,
     Config,
     MachineFormatError,
     TargetSlotOccupiedError,
@@ -331,6 +332,78 @@ class TestStep:
 
     def test_immediate_halt_at_step_zero(self):
         assert run_direct(CORPUS["halt-now"], blank(2), 5) == (True, 0)
+
+
+def row_step(spec: TMSpec, config: Config, state: int) -> tuple[Config, int]:
+    """One step read off ``spec.rows``, with the runoff rule of ``_step_into``."""
+    flip, move, nxt = spec.rows[state << 1 | config.read()]
+    tape = config.tape ^ flip << config.head
+    if 0 <= config.head + move < config.cells:
+        return Config(tape, config.head + move, config.cells), nxt
+    return Config(tape, config.head, config.cells), spec.reject
+
+
+@st.composite
+def machines_with_halts(draw) -> TMSpec:
+    """A total machine of 1 to 6 states, at least one of them a halt state."""
+    states = draw(st.integers(1, 6))
+    halts = draw(st.sets(st.integers(0, states - 1), min_size=1))
+    transitions = {
+        (s, read): Transition(
+            draw(st.integers(0, 1)), draw(st.sampled_from(MOVES)), draw(st.integers(0, states - 1))
+        )
+        for s in range(states)
+        if s not in halts
+        for read in (0, 1)
+    }
+    reject = draw(st.sampled_from(sorted(halts)))
+    return TMSpec(states, draw(st.integers(0, states - 1)), halts, transitions, reject)
+
+
+def assert_rows_step_like_tm_step(spec: TMSpec, cells: int, tape: int) -> None:
+    """Every (state, read) at every head cell, so heads on both ends run off."""
+    assert len(spec.rows) == 2 * spec.num_states
+    for head in range(cells):
+        for read in (0, 1):
+            config = Config(tape & ~(1 << head) | read << head, head, cells)
+            for state in range(spec.num_states):
+                want = tm_step(spec, config, state)
+                assert row_step(spec, config, state) == want, (spec, state, config)
+
+
+class TestStepRows:
+    """``TMSpec.rows`` against the ``tm_step`` reference on ``transitions``."""
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    @pytest.mark.parametrize("cells", [1, 2, 5])
+    def test_bundled_machines(self, name, cells):
+        assert_rows_step_like_tm_step(CORPUS[name], cells, 0b10110 & ~(-1 << cells))
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=machines_with_halts(), cells=st.integers(1, 4), tape=st.integers(0, 15))
+    def test_drawn_machines(self, spec, cells, tape):
+        assert_rows_step_like_tm_step(spec, cells, tape & ~(-1 << cells))
+
+    def test_params_step_through_the_machines_rows(self):
+        # A private copy of bb2 whose rows count their reads: both params
+        # step only through that one object, with no table of their own.
+        spec = machine_from_dict(machine_to_dict(CORPUS["bb2"]))
+        reads = []
+
+        class CountedRows(tuple):
+            def __getitem__(self, index):
+                reads.append(index)
+                return tuple.__getitem__(self, index)
+
+        spec.rows = CountedRows(spec.rows)
+        for params in (TruncationParams([spec], 2, 3), TruncationParams([spec, CORPUS["bb1"]], 5, 4)):
+            before = len(reads)
+            build_chained_superposition(params)
+            memo = params._successors[spec.code]
+            stepped = [c for c in memo if c >> params.w_x < spec.num_states]
+            assert len(reads) - before == len(stepped) > 0
+            for code, out in memo.items():
+                assert out == reference_step_codes(params, spec.code, code), code
 
 
 class TestStepCodes:
